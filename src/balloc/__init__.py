@@ -23,6 +23,7 @@ from .renyi import (
     renyi_curve,
     renyi_remove_bruteforce,
     renyi_remove_dp,
+    renyi_remove_orders,
     renyi_to_delta,
 )
 from .pld import (

@@ -134,18 +134,16 @@ def _cmd_account(args) -> int:
     }
     alpha_set = tuple(range(2, args.alpha_max + 1))
     if args.method == "renyi":
-        delta, alpha = renyi.renyi_account(
+        delta, alpha, curve = renyi.renyi_account(
             strategy, schedule, args.sigma, args.epsilon,
-            alpha_set=alpha_set, bandwidth=args.bandwidth,
+            alpha_set=alpha_set, bandwidth=args.bandwidth, return_curve=True,
         )
-        curve = renyi.renyi_curve(
-            strategy, schedule, args.sigma, (alpha,), bandwidth=args.bandwidth
-        )
+        j = curve.alphas.index(alpha)
         out["delta"] = delta
         out["alpha"] = alpha
         out["direction_breakdown"] = {
-            "remove": renyi.renyi_to_delta(float(curve.rho_remove[0]), alpha, args.epsilon),
-            "add": renyi.renyi_to_delta(float(curve.rho_add[0]), alpha, args.epsilon),
+            "remove": renyi.renyi_to_delta(float(curve.rho_remove[j]), alpha, args.epsilon),
+            "add": renyi.renyi_to_delta(float(curve.rho_add[j]), alpha, args.epsilon),
         }
     elif args.method == "condcomp":
         delta, per_direction = condcomp.cond_comp_account(

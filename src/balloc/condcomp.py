@@ -290,13 +290,6 @@ def _tau_core(
     return float(taus.max())
 
 
-def _stack_gram(vectors) -> np.ndarray:
-    m = np.asarray(vectors, dtype=float)
-    if m.ndim == 1:
-        m = m.reshape(len(m), 1) if len(m) else m.reshape(0, 0)
-    return m @ m.T
-
-
 def tail_bound_add(mu_list, mu_i, sigma: float, beta: float, family: VariationalFamily = DEFAULT_FAMILY) -> float:
     """Analytic lower tail bound for the ternary loss under R = N(0, sigma^2 I)."""
     mus = [np.asarray(m, dtype=float) for m in mu_list]

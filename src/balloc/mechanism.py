@@ -120,10 +120,6 @@ class MixtureMeans:
     schedule: Schedule
     means: np.ndarray  # (b, N), non-negative
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.means
-
 
 @dataclass(frozen=True)
 class GramSummary:

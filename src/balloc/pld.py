@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import log_ndtr, ndtr, ndtri
 
 LOSS_FLOOR = -50.0
@@ -264,7 +264,11 @@ def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.size + b.size <= _DIRECT_CONV_LIMIT:
         out = np.convolve(a, b)
     else:
-        out = fftconvolve(a, b)
+        # Same transform sizes and calls as scipy.signal.fftconvolve, without
+        # importing scipy.signal (most of this package's import time).
+        size = a.size + b.size - 1
+        n = next_fast_len(size, True)
+        out = irfft(rfft(a, n) * rfft(b, n), n)[:size]
     return np.maximum(out, 0.0)
 
 

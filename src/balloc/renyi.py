@@ -4,8 +4,11 @@ The remove-direction divergence of (mixture, single Gaussian) is a partition
 function over count vectors coupled through the Gram matrix of the mixture
 means.  When the Gram matrix is cyclically banded the sum factorizes into a
 forward dynamic program over batch positions with a short suffix of counts as
-state; out-of-band mass is charged through the truncation slack tau.  The add
-direction uses a closed-form AM-GM bound.
+state; out-of-band mass is charged through the truncation slack tau.  The
+program's state carries the running count total m, so one pass run up to order
+alpha yields log S(m) for every order m <= alpha: a curve costs one pass per
+bandwidth, not one per order.  The add direction uses a closed-form AM-GM
+bound.
 """
 
 from __future__ import annotations
@@ -81,25 +84,32 @@ def renyi_remove_bruteforce(g, sigma: float, alpha: int, b: int | None = None) -
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
-    """All count vectors of length `parts` summing to `total`, as an int array."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    blocks = []
-    for first in range(total + 1):
-        rest = _compositions(total - first, parts - 1)
-        blocks.append(
-            np.concatenate(
-                [np.full((rest.shape[0], 1), first, dtype=np.int64), rest], axis=1
-            )
-        )
-    return np.concatenate(blocks, axis=0)
+    """All count vectors of length `parts` summing to `total`, lexicographically.
+
+    Stars and bars: each choice of parts - 1 bar slots among total + parts - 1
+    gives one vector, and lexicographic bar choices give lexicographic vectors.
+    """
+    slots = total + parts - 1
+    bars = np.array(
+        list(itertools.combinations(range(slots), parts - 1)), dtype=np.int64
+    ).reshape(math.comb(slots, parts - 1), parts - 1)
+    edges = np.concatenate(
+        [
+            np.full((bars.shape[0], 1), -1, dtype=np.int64),
+            bars,
+            np.full((bars.shape[0], 1), slots, dtype=np.int64),
+        ],
+        axis=1,
+    )
+    return np.diff(edges, axis=1) - 1
 
 
-def _log_sum_compositions(gp: np.ndarray, sigma: float, alpha: int) -> float:
-    """log S by direct enumeration over compositions of alpha into b parts.
+def _log_sum_compositions(gp: np.ndarray, sigma: float, alpha: int) -> np.ndarray:
+    """log S[0..alpha] by direct enumeration over compositions of each total.
 
     Used when the cyclic band spans every index pair (b <= 2p - 2), where the
-    prefix/suffix bookkeeping of the forward DP would overlap itself.
+    prefix/suffix bookkeeping of the forward DP would overlap itself.  Totals
+    are enumerated one at a time so memory stays that of the largest one.
     """
     b = gp.shape[0]
     count = math.comb(alpha + b - 1, b - 1)
@@ -107,16 +117,19 @@ def _log_sum_compositions(gp: np.ndarray, sigma: float, alpha: int) -> float:
         raise ValueError(
             f"composition enumeration needs {count} terms; reduce alpha or bandwidth"
         )
-    r = _compositions(alpha, b).astype(float)
     inv = 1.0 / (2.0 * sigma**2)
     diag = np.diag(gp)
-    quad = np.einsum("ij,jk,ik->i", r, gp, r)
-    expo = (quad - r @ diag) * inv - gammaln(r + 1.0).sum(axis=1)
-    return float(logsumexp(expo))
+    log_s = np.empty(alpha + 1)
+    for m in range(alpha + 1):
+        r = _compositions(m, b).astype(float)
+        quad = np.einsum("ij,jk,ik->i", r, gp, r)
+        expo = (quad - r @ diag) * inv - gammaln(r + 1.0).sum(axis=1)
+        log_s[m] = logsumexp(expo)
+    return log_s
 
 
-def _dp_sum_unit_bandwidth(diag: np.ndarray, sigma: float, alpha: int) -> float:
-    """log S for p = 1: per-position counts interact only through the diagonal.
+def _dp_sum_unit_bandwidth(diag: np.ndarray, sigma: float, alpha: int) -> np.ndarray:
+    """log S[0..alpha] for p = 1: counts interact only through the diagonal.
 
     The state is the running count total, so each position multiplies a
     degree-alpha polynomial in the count weights.  The whole convolution stays
@@ -143,11 +156,11 @@ def _dp_sum_unit_bandwidth(diag: np.ndarray, sigma: float, alpha: int) -> float:
         safe = np.where(np.isfinite(top), top, 0.0)
         with np.errstate(divide="ignore"):
             logw = safe + np.log(np.exp(vals - safe[:, None]).sum(axis=1))
-    return float(logw[alpha])
+    return logw
 
 
-def _dp_sum_bandwidth_two(gp: np.ndarray, sigma: float, alpha: int) -> float:
-    """log S for p = 2, vectorized over (prefix count, running total, last count).
+def _dp_sum_bandwidth_two(gp: np.ndarray, sigma: float, alpha: int) -> np.ndarray:
+    """log S[0..alpha] for p = 2, vectorized over (prefix, total, last count).
 
     Same recursion as the general banded program with the prefix loop folded
     into a leading tensor axis; needs b >= 3 so the wrap-around pair (first,
@@ -180,11 +193,11 @@ def _dp_sum_bandwidth_two(gp: np.ndarray, sigma: float, alpha: int) -> float:
                 )
         state = new
     closure = gp[0, b - 1] * np.outer(idx, idx) / sig2  # [l0, r_final]
-    vals = state[:, alpha, :] + closure
-    top = vals.max()
-    if not np.isfinite(top):
-        return -np.inf
-    return float(top + np.log(np.exp(vals - top).sum()))
+    vals = state.transpose(1, 0, 2) + closure[None, :, :]  # [total, l0, r_final]
+    top = vals.max(axis=(1, 2))
+    safe = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return safe + np.log(np.exp(vals - safe[:, None, None]).sum(axis=(1, 2)))
 
 
 def _prefixes(alpha: int, parts: int):
@@ -203,8 +216,8 @@ def _prefix_rec(prefix: tuple, budget: int, remaining: int):
         yield from _prefix_rec(prefix + (v,), budget - v, remaining - 1)
 
 
-def _dp_sum_banded(gp: np.ndarray, p: int, sigma: float, alpha: int) -> float:
-    """log S via the forward dynamic program over positions p-1 .. b-1.
+def _dp_sum_banded(gp: np.ndarray, p: int, sigma: float, alpha: int) -> np.ndarray:
+    """log S[0..alpha] via the forward dynamic program over positions p-1 .. b-1.
 
     States are (suffix of the last p-1 counts) -> log-weight vector indexed by
     the running total m.  Requires b >= 2p - 1 so that linear-band and
@@ -213,14 +226,10 @@ def _dp_sum_banded(gp: np.ndarray, p: int, sigma: float, alpha: int) -> float:
     b = gp.shape[0]
     sig2 = sigma**2
     inv2 = 1.0 / (2.0 * sig2)
-    t = np.arange(alpha + 1, dtype=float)
-    log_t_fact = gammaln(t + 1.0)
-    self_term = t * (t - 1.0) * inv2
+    log_t_fact = gammaln(np.arange(alpha + 1, dtype=float) + 1.0)
 
-    total = -np.inf
+    total = np.full(alpha + 1, -np.inf)
     for l in _prefixes(alpha, p - 1):
-        m0 = sum(l)
-        la = np.array(l, dtype=float)
         # Interactions and self terms inside the prefix block.
         seed = 0.0
         for i in range(p - 1):
@@ -228,7 +237,7 @@ def _dp_sum_banded(gp: np.ndarray, p: int, sigma: float, alpha: int) -> float:
                 seed += gp[i, j] * l[i] * l[j] / sig2
             seed += gp[i, i] * l[i] * (l[i] - 1) * inv2 - float(gammaln(l[i] + 1.0))
         arr0 = np.full(alpha + 1, -np.inf)
-        arr0[m0] = seed
+        arr0[sum(l)] = seed
         states: dict[tuple, np.ndarray] = {l: arr0}
 
         for k in range(p - 1, b):
@@ -236,10 +245,11 @@ def _dp_sum_banded(gp: np.ndarray, p: int, sigma: float, alpha: int) -> float:
             for r, arr in states.items():
                 L = len(r)
                 s1 = 2.0 * sum(gp[k, k - L + i] * r[i] for i in range(L))
-                for tt in range(alpha + 1):
+                # Totals below the first finite entry are unreachable, so a
+                # count tt > alpha - first would only shift -inf into range.
+                first = int(np.argmax(np.isfinite(arr)))
+                for tt in range(alpha + 1 - first):
                     shifted = arr[: alpha + 1 - tt]
-                    if not np.any(np.isfinite(shifted)):
-                        continue
                     delta = (gp[k, k] * tt * (tt - 1) + s1 * tt) * inv2 - log_t_fact[tt]
                     key = r[1:] + (tt,) if p > 1 else ()
                     dest = new_states.get(key)
@@ -253,41 +263,48 @@ def _dp_sum_banded(gp: np.ndarray, p: int, sigma: float, alpha: int) -> float:
         # and the final suffix (cyclic distance i + j + 1 < p only; nearer
         # pairs were already consumed by the forward pass).
         for r, arr in states.items():
-            if not np.isfinite(arr[alpha]):
-                continue
             closure = 0.0
             for i in range(p - 1):
                 for j in range(p - 1):
                     if i + j <= p - 2:
                         closure += gp[i, b - 1 - j] * l[i] * r[p - 2 - j] / sig2
-            total = np.logaddexp(total, arr[alpha] + closure)
-    return float(total)
+            total = np.logaddexp(total, arr + closure)
+    return total
 
 
-def renyi_remove_dp(summary: GramSummary, alpha: int) -> float:
-    """Remove-direction divergence of the banded Gram plus the tau correction.
+def renyi_remove_orders(summary: GramSummary, alpha_max: int) -> np.ndarray:
+    """Remove-direction divergences for every order 2..alpha_max, one DP pass.
 
-    Exact when summary.tau == 0 (the Gram really is cyclically banded at the
-    chosen bandwidth), an upper bound otherwise.
+    Entry j is the order j + 2.  The pass runs at alpha_max and its running
+    total axis holds log S(m) for every m <= alpha_max: step weights and the
+    closure term do not depend on the order, and prefixes summing past m never
+    reach total m.  Exact when summary.tau == 0 (the Gram really is cyclically
+    banded at the chosen bandwidth), an upper bound otherwise.
     """
-    alpha = _check_alpha(alpha)
+    alpha_max = _check_alpha(alpha_max)
     gp = summary.banded
     b = gp.shape[0]
     p = summary.bandwidth
     sigma = summary.sigma
+    orders = np.arange(2, alpha_max + 1, dtype=float)
     if b == 1:
         # Single component: plain Gaussian divergence (tau is 0 by convention).
-        return alpha * gp[0, 0] / (2.0 * sigma**2)
+        return orders * gp[0, 0] / (2.0 * sigma**2)
     if p == 1:
-        log_s = _dp_sum_unit_bandwidth(np.diag(gp).copy(), sigma, alpha)
+        log_s = _dp_sum_unit_bandwidth(np.diag(gp).copy(), sigma, alpha_max)
     elif b <= 2 * p - 2:
-        log_s = _log_sum_compositions(gp, sigma, alpha)
+        log_s = _log_sum_compositions(gp, sigma, alpha_max)
     elif p == 2:
-        log_s = _dp_sum_bandwidth_two(gp, sigma, alpha)
+        log_s = _dp_sum_bandwidth_two(gp, sigma, alpha_max)
     else:
-        log_s = _dp_sum_banded(gp, p, sigma, alpha)
-    rho = (log_s + float(gammaln(alpha + 1.0)) - alpha * math.log(b)) / (alpha - 1)
-    return max(0.0, rho + summary.tau * alpha / (2.0 * sigma**2))
+        log_s = _dp_sum_banded(gp, p, sigma, alpha_max)
+    rho = (log_s[2:] + gammaln(orders + 1.0) - orders * math.log(b)) / (orders - 1)
+    return np.maximum(0.0, rho + summary.tau * orders / (2.0 * sigma**2))
+
+
+def renyi_remove_dp(summary: GramSummary, alpha: int) -> float:
+    """Remove-direction divergence at one order; see renyi_remove_orders."""
+    return float(renyi_remove_orders(summary, alpha)[-1])
 
 
 def renyi_add_bound(g, sigma: float, alpha: int) -> float:
@@ -349,6 +366,10 @@ def renyi_curve(
 
     `bandwidth` caps the cyclic band; orders too expensive at that cap fall
     back to a narrower band automatically (flagged per entry in the result).
+    Orders are grouped by the bandwidth they are evaluated at, and each group
+    costs one dynamic-program pass at its largest order, which yields every
+    order of the group.  The bandwidth an order gets does not depend on the
+    other orders in alpha_set.
     """
     alphas = tuple(sorted({_check_alpha(a) for a in alpha_set}))
     if not alphas:
@@ -363,12 +384,17 @@ def renyi_curve(
             summaries[p] = gram_summary(strategy, schedule, sigma, p)
         return summaries[p]
 
+    groups: dict[int, list[int]] = {}
+    for j, a in enumerate(alphas):
+        groups.setdefault(_affordable_bandwidth(b, bandwidth, a), []).append(j)
     rho_rem = np.empty(len(alphas))
     exact = np.empty(len(alphas), dtype=bool)
-    for j, a in enumerate(alphas):
-        summary = summary_at(_affordable_bandwidth(b, bandwidth, a))
-        rho_rem[j] = renyi_remove_dp(summary, a)
-        exact[j] = summary.tau == 0.0
+    for p, idx in groups.items():
+        summary = summary_at(p)
+        rho = renyi_remove_orders(summary, alphas[idx[-1]])
+        for j in idx:
+            rho_rem[j] = rho[alphas[j] - 2]
+            exact[j] = summary.tau == 0.0
     gram_full = summary_at(min(summaries)).gram
     rho_add = np.array([renyi_add_bound(gram_full, sigma, a) for a in alphas])
     return RenyiCurve(
@@ -397,10 +423,20 @@ def renyi_account(
     epsilon: float,
     alpha_set=DEFAULT_ALPHAS,
     bandwidth: int | None = None,
-) -> tuple[float, int]:
-    """delta at epsilon via max(remove, add) divergence, optimized over orders."""
+    return_curve: bool = False,
+):
+    """delta at epsilon via max(remove, add) divergence, optimized over orders.
+
+    Returns (delta, alpha), or (delta, alpha, curve) with return_curve, where
+    the curve holds the winning order's per-direction divergences.
+    """
     if np.all(mixture_means(strategy, schedule).means == 0.0):
         # Identical dominating pair (zero mechanism): delta is exactly 0.
-        return max(0.0, -math.expm1(epsilon)), min(alpha_set)
-    curve = renyi_curve(strategy, schedule, sigma, alpha_set, bandwidth)
-    return curve_delta(curve, epsilon)
+        delta, alpha = max(0.0, -math.expm1(epsilon)), min(alpha_set)
+        if not return_curve:
+            return delta, alpha
+        curve = renyi_curve(strategy, schedule, sigma, (alpha,), bandwidth)
+    else:
+        curve = renyi_curve(strategy, schedule, sigma, alpha_set, bandwidth)
+        delta, alpha = curve_delta(curve, epsilon)
+    return (delta, alpha, curve) if return_curve else (delta, alpha)

@@ -230,19 +230,25 @@ def test_criterion_7_complexity_scaling():
         b: gram_summary(build_identity(b), Schedule(1, b), 1.0, 1) for b in (500, 1000)
     }
 
-    def measure(b, alpha, samples=7, calls=5):
-        renyi_remove_dp(summaries[b], alpha)  # warmup
-        times = []
+    def measure(samples=35):
+        # Samples are taken round-robin over the (b, alpha) cases, one call
+        # each, so that machine-speed drift during the test (it moves single
+        # calls by up to 30% within a second) lands on both sides of every
+        # ratio instead of on whichever case happens to run last.
+        cases = [(b, a) for b in (500, 1000) for a in (16, 32)]
+        for b, a in cases:
+            renyi_remove_dp(summaries[b], a)  # warmup
+        times = {case: [] for case in cases}
         for _ in range(samples):
-            t0 = time.perf_counter()
-            for _ in range(calls):
-                renyi_remove_dp(summaries[b], alpha)
-            times.append((time.perf_counter() - t0) / calls)
+            for b, a in cases:
+                t0 = time.perf_counter()
+                renyi_remove_dp(summaries[b], a)
+                times[(b, a)].append(time.perf_counter() - t0)
         # min over samples: scheduling noise is strictly additive
-        return float(min(times))
+        return {case: float(min(ts)) for case, ts in times.items()}
 
     try:
-        t_b = {(b, a): measure(b, a) for b in (500, 1000) for a in (16, 32)}
+        t_b = measure()
         ratio_b16 = t_b[(1000, 16)] / t_b[(500, 16)]
         ratio_b32 = t_b[(1000, 32)] / t_b[(500, 32)]
         ratio_a500 = t_b[(500, 32)] / t_b[(500, 16)]

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from balloc.cli import main
-from balloc.mechanism import Schedule, build_identity, read_matrix
-from balloc.renyi import renyi_account
+from balloc.mechanism import (
+    Schedule,
+    StrategyMatrix,
+    build_identity,
+    read_matrix,
+    sqrt_toeplitz_coefficients,
+    write_matrix,
+)
+from balloc.renyi import renyi_account, renyi_curve, renyi_to_delta
 
 
 @pytest.fixture()
@@ -69,6 +76,36 @@ def test_account_renyi_passthrough(identity4, capsys):
     assert payload["delta"] == pytest.approx(expected, rel=1e-9)
     assert payload["alpha"] == alpha
     assert set(payload["direction_breakdown"]) == {"remove", "add"}
+
+
+@pytest.mark.parametrize("kind", ["bsr", "zero"])
+def test_account_renyi_breakdown_is_the_winning_curve_entry(tmp_path, capsys, kind):
+    strategy = (
+        StrategyMatrix.from_dense(np.zeros((8, 8)))
+        if kind == "zero"
+        else StrategyMatrix.from_toeplitz(sqrt_toeplitz_coefficients(3), size=8)
+    )
+    path = tmp_path / "m.txt"
+    write_matrix(strategy, path)
+    code, out = run_and_capture(
+        capsys,
+        ["account", "--matrix", str(path), "--epochs", "2", "--batches", "4",
+         "--sigma", "2", "--epsilon", "2", "--method", "renyi", "--alpha-max", "12"],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    alpha = payload["alpha"]
+    curve = renyi_curve(strategy, Schedule(2, 4), 2.0, (alpha,))
+    expected = {
+        "remove": renyi_to_delta(float(curve.rho_remove[0]), alpha, 2.0),
+        "add": renyi_to_delta(float(curve.rho_add[0]), alpha, 2.0),
+    }
+    assert payload["direction_breakdown"] == pytest.approx(expected, rel=1e-11)
+    if kind == "zero":
+        assert (payload["delta"], alpha) == (0.0, 2)
+    else:
+        assert alpha == 6  # an interior order, not the first curve entry
+        assert payload["delta"] == pytest.approx(max(expected.values()), rel=1e-11)
 
 
 def test_account_mc_contract(identity4, capsys):

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import balloc
 from balloc.pld import (
+    _DIRECT_CONV_LIMIT,
     ADD,
     REMOVE,
     MixGaussPair,
@@ -16,6 +22,7 @@ from balloc.pld import (
     hockey_stick,
     point_mass_pld,
 )
+from balloc.pld import _convolve
 
 from oracles import gaussian_profile_delta, hockey_stick_quadrature
 
@@ -214,3 +221,25 @@ def test_csv_dump(tmp_path):
     assert int(idx) == pld.lo_index
     assert float(loss) == pytest.approx(pld.lo_index * pld.h)
     assert float(mass) == pytest.approx(pld.pmf[0])
+
+
+def test_convolve_is_bitwise_fftconvolve():
+    from scipy.signal import fftconvolve  # oracle only; the package avoids it
+
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        na = int(rng.integers(50, 20000))
+        nb = int(rng.integers(max(50, _DIRECT_CONV_LIMIT + 1 - na), 20000))
+        a, b = rng.dirichlet(np.ones(na)), rng.dirichlet(np.ones(nb))
+        expected = np.maximum(fftconvolve(a, b), 0.0)
+        assert np.array_equal(_convolve(a, b), expected)
+
+
+def test_import_cli_leaves_scipy_signal_unloaded():
+    src = os.path.dirname(os.path.dirname(balloc.__file__))
+    code = "import sys, balloc.cli; print('scipy.signal' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -18,12 +18,15 @@ from balloc.mechanism import (
     mixture_means,
     sqrt_toeplitz_coefficients,
 )
+from balloc import renyi
 from balloc.renyi import (
+    _affordable_bandwidth,
     renyi_account,
     renyi_add_bound,
     renyi_curve,
     renyi_remove_bruteforce,
     renyi_remove_dp,
+    renyi_remove_orders,
     renyi_to_delta,
 )
 
@@ -214,3 +217,77 @@ def test_alpha_validation():
         renyi_to_delta(-0.1, 2, 1.0)
     with pytest.raises(ValueError):
         renyi_curve(build_identity(2), Schedule(1, 2), 1.0, ())
+
+
+def _bsr(p, n):
+    return StrategyMatrix.from_toeplitz(sqrt_toeplitz_coefficients(p), size=n)
+
+
+def _bisr(p, n):
+    return invert_banded_toeplitz(inv_sqrt_toeplitz_coefficients(p), n)
+
+
+# (strategy, schedule, bandwidth, top order, expected tau > 0), one per path
+# of renyi_remove_orders.
+ONE_PASS_PATHS = {
+    "p1": (build_identity(40), Schedule(2, 20), 1, 40, False),
+    "p2": (_bisr(4, 24), Schedule(1, 24), 2, 16, True),
+    "banded-exact": (_bsr(4, 16), Schedule(1, 16), 4, 6, False),
+    "banded-tau": (_bisr(4, 16), Schedule(1, 16), 5, 4, True),
+    "compositions": (_bisr(4, 12), Schedule(2, 6), 4, 10, False),
+    "b1": (build_identity(3), Schedule(3, 1), 1, 64, False),
+}
+
+
+@pytest.mark.parametrize("path", sorted(ONE_PASS_PATHS))
+def test_one_pass_matches_per_order_evaluation(path):
+    strategy, schedule, p, top, truncated = ONE_PASS_PATHS[path]
+    su = gram_summary(strategy, schedule, 1.3, p)
+    assert (su.tau > 0.0) == truncated
+    b = schedule.batches_per_epoch
+    if path == "compositions":
+        assert b <= 2 * p - 2
+    elif path.startswith("banded"):
+        assert p >= 3 and b >= 2 * p - 1
+    rho = renyi_remove_orders(su, top)
+    assert rho.shape == (top - 1,)
+    for a in range(2, top + 1):
+        single = renyi_remove_dp(su, a)
+        assert rho[a - 2] == pytest.approx(single, rel=1e-12, abs=1e-300)
+
+
+def test_curve_bandwidth_and_exact_flags_per_order():
+    # BISR at the default cap: low orders run at p = 8 on a truncated band,
+    # higher ones narrow; BSR at its own bandwidth stays exact throughout.
+    for strategy, schedule, alphas, flags in [
+        (_bisr(4, 16), Schedule(1, 16), tuple(range(2, 7)), [False] * 5),
+        (_bsr(4, 16), Schedule(1, 16), tuple(range(2, 6)), [True] * 4),
+        (_bisr(4, 12), Schedule(2, 6), (2, 3, 10, 48), [True, True, True, False]),
+    ]:
+        curve = renyi_curve(strategy, schedule, 1.0, alphas)
+        assert curve.exact.tolist() == flags
+        b = schedule.batches_per_epoch
+        cap = min(strategy.bandwidth, 8, b)
+        for j, a in enumerate(alphas):
+            su = gram_summary(strategy, schedule, 1.0, _affordable_bandwidth(b, cap, a))
+            assert curve.exact[j] == (su.tau == 0.0)
+            assert curve.rho_remove[j] == pytest.approx(
+                renyi_remove_dp(su, a), rel=1e-12
+            )
+
+
+def test_curve_runs_one_pass_per_bandwidth_group(monkeypatch):
+    tops = []
+    original = renyi.renyi_remove_orders
+
+    def counting(summary, alpha_max):
+        tops.append((summary.bandwidth, alpha_max))
+        return original(summary, alpha_max)
+
+    monkeypatch.setattr(renyi, "renyi_remove_orders", counting)
+    # BISR p=4 on b=16 at the default cap 8: orders 2-3 at p=8, order 4 at p=7.
+    renyi_curve(_bisr(4, 16), Schedule(1, 16), 1.0, (2, 3, 4))
+    assert tops == [(8, 3), (7, 4)]
+    tops.clear()
+    renyi_curve(build_identity(20), Schedule(1, 20), 1.0)
+    assert tops == [(1, 64)]
