@@ -3,16 +3,13 @@
 Exit codes: 0 success, 1 computational failure, 2 usage error.  All floats are
 printed with 12 significant digits and every command is deterministic given
 its flags (Monte Carlo commands therefore require an explicit --seed).
-BALLOC_THREADS caps the number of worker threads used for grid sweeps.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import calibrate as cal
 from . import condcomp, mc, renyi
@@ -47,22 +44,6 @@ def _json_ready(obj):
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
     return obj
-
-
-def _threads() -> int:
-    raw = os.environ.get("BALLOC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_grid(fn, items):
-    workers = _threads()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_epsilons(text: str) -> list[float]:
@@ -267,7 +248,7 @@ def _cmd_compare(args) -> int:
         )
         return (e, sigma_r, sigma_c, sigma_m)
 
-    rows = _map_grid(row, eps)
+    rows = [row(e) for e in eps]
     _write_csv(
         args.out, "epsilon,sigma_renyi,sigma_condcomp,sigma_mc_reference", rows
     )

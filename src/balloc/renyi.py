@@ -2,13 +2,16 @@
 
 The remove-direction divergence of (mixture, single Gaussian) is a partition
 function over count vectors coupled through the Gram matrix of the mixture
-means.  When the Gram matrix is cyclically banded the sum factorizes into a
-forward dynamic program over batch positions with a short suffix of counts as
-state; out-of-band mass is charged through the truncation slack tau.  The
-program's state carries the running count total m, so one pass run up to order
-alpha yields log S(m) for every order m <= alpha: a curve costs one pass per
-bandwidth, not one per order.  The add direction uses a closed-form AM-GM
-bound.
+means.  When the Gram matrix is cyclically banded (bandwidth p) the sum
+factorizes into one forward dynamic program over batch positions, for every
+p: its state is (prefix of the first p-1 counts, running total, suffix of the
+last p-1 counts), and the wrap-around pairs close the cycle between prefix and
+final suffix.  Out-of-band mass is charged through the truncation slack tau.
+The running total m makes one pass run up to order alpha yield log S(m) for
+every order m <= alpha: a curve costs one pass per bandwidth, not one per
+order.  One batch has a closed form, and schedules too short for the band
+(b <= 2p - 2) enumerate count vectors directly.  The add direction uses a
+closed-form AM-GM bound.
 """
 
 from __future__ import annotations
@@ -51,6 +54,16 @@ def _check_alpha(alpha) -> int:
     if int(alpha) != alpha or alpha < 2:
         raise ValueError(f"alpha must be an integer >= 2, got {alpha}")
     return int(alpha)
+
+
+def _check_bandwidth(strategy: StrategyMatrix, schedule: Schedule, bandwidth) -> int:
+    """The requested band cap, or the default min(natural bandwidth, 8, b)."""
+    b = schedule.batches_per_epoch
+    if bandwidth is None:
+        return min(strategy.bandwidth, 8, b)
+    if not 1 <= bandwidth <= b:
+        raise ValueError(f"bandwidth must be in [1, {b}], got {bandwidth}")
+    return int(bandwidth)
 
 
 def renyi_remove_bruteforce(g, sigma: float, alpha: int, b: int | None = None) -> float:
@@ -128,148 +141,86 @@ def _log_sum_compositions(gp: np.ndarray, sigma: float, alpha: int) -> np.ndarra
     return log_s
 
 
-def _dp_sum_unit_bandwidth(diag: np.ndarray, sigma: float, alpha: int) -> np.ndarray:
-    """log S[0..alpha] for p = 1: counts interact only through the diagonal.
-
-    The state is the running count total, so each position multiplies a
-    degree-alpha polynomial in the count weights.  The whole convolution stays
-    in log domain: per-position factors span far more than float range (the
-    self-interaction exponent reaches alpha^2 * max(G) / (2 sigma^2)), and
-    entries flushed by a linear-domain pass can still dominate the final sum.
-    """
-    t = np.arange(alpha + 1, dtype=float)
-    steps = (
-        diag[:, None] * (t * (t - 1.0) / (2.0 * sigma**2))[None, :]
-        - gammaln(t + 1.0)[None, :]
-    )
-    logw = np.full(alpha + 1, -np.inf)
-    logw[0] = 0.0
-    pad = np.full(alpha, -np.inf)
-    for k in range(diag.size):
-        # windows[m, t] = logw[m - t]; add the position's step weights and
-        # reduce over t, max-shifted per output entry.
-        windows = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate([pad, logw]), alpha + 1
-        )[:, ::-1]
-        vals = windows + steps[k][None, :]
-        top = vals.max(axis=1)
-        safe = np.where(np.isfinite(top), top, 0.0)
-        with np.errstate(divide="ignore"):
-            logw = safe + np.log(np.exp(vals - safe[:, None]).sum(axis=1))
-    return logw
+# Cells of one step's (prefix, total, pair) block: bounds the DP's working
+# memory to a few such float arrays whatever the number of prefixes.
+_DP_CHUNK_ELEMENTS = 2**18
 
 
-def _dp_sum_bandwidth_two(gp: np.ndarray, sigma: float, alpha: int) -> np.ndarray:
-    """log S[0..alpha] for p = 2, vectorized over (prefix, total, last count).
-
-    Same recursion as the general banded program with the prefix loop folded
-    into a leading tensor axis; needs b >= 3 so the wrap-around pair (first,
-    last position) is distinct from the forward interactions.
-    """
-    b = gp.shape[0]
-    sig2 = sigma * sigma
-    n = alpha + 1
-    t = np.arange(n, dtype=float)
-    log_t_fact = gammaln(t + 1.0)
-    self_terms = t * (t - 1.0) / (2.0 * sig2)  # multiplied by G[k, k] below
-
-    state = np.full((n, n, n), -np.inf)  # [prefix l0, total m, last count r0]
-    idx = np.arange(n)
-    state[idx, idx, idx] = gp[0, 0] * self_terms - log_t_fact
-    for k in range(1, b):
-        delta = (
-            gp[k, k] * self_terms[None, :]
-            + gp[k, k - 1] * np.outer(t, t) / sig2
-            - log_t_fact[None, :]
-        )  # [r0, t]
-        new = np.full((n, n, n), -np.inf)
-        for tt in range(n):
-            vals = state[:, : n - tt, :] + delta[None, None, :, tt]
-            top = vals.max(axis=2)
-            safe = np.where(np.isfinite(top), top, 0.0)
-            with np.errstate(divide="ignore"):
-                new[:, tt:, tt] = safe + np.log(
-                    np.exp(vals - safe[:, :, None]).sum(axis=2)
-                )
-        state = new
-    closure = gp[0, b - 1] * np.outer(idx, idx) / sig2  # [l0, r_final]
-    vals = state.transpose(1, 0, 2) + closure[None, :, :]  # [total, l0, r_final]
-    top = vals.max(axis=(1, 2))
-    safe = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore"):
-        return safe + np.log(np.exp(vals - safe[:, None, None]).sum(axis=(1, 2)))
-
-
-def _prefixes(alpha: int, parts: int):
-    """Count prefixes of length `parts` with sum <= alpha, lexicographically."""
-    if parts == 0:
-        yield ()
-        return
-    yield from _prefix_rec((), alpha, parts)
-
-
-def _prefix_rec(prefix: tuple, budget: int, remaining: int):
-    if remaining == 0:
-        yield prefix
-        return
-    for v in range(budget + 1):
-        yield from _prefix_rec(prefix + (v,), budget - v, remaining - 1)
-
-
-def _dp_sum_banded(gp: np.ndarray, p: int, sigma: float, alpha: int) -> np.ndarray:
+def _log_sum_banded(gp: np.ndarray, p: int, sigma: float, alpha: int) -> np.ndarray:
     """log S[0..alpha] via the forward dynamic program over positions p-1 .. b-1.
 
-    States are (suffix of the last p-1 counts) -> log-weight vector indexed by
-    the running total m.  Requires b >= 2p - 1 so that linear-band and
-    wrap-around interactions never refer to the same index pair.
+    The first p-1 counts (the prefix) are fixed per state row.  Within a row
+    the state is indexed [running total, suffix], where the suffix holds the
+    last p-1 counts of the forward positions, with zeros standing in for prefix
+    positions (the prefix enters the first forward steps through their
+    weights).  A prefix of sum a leaves a budget beta = alpha - a to the
+    forward counts, so prefixes are grouped by their sum, and suffixes are flat
+    indexes into the simplex of (p-1)-count vectors with sum <= beta (for
+    p = 1, the one empty vector).  The total axis is padded below by beta, so
+    one window view reads the total m - t for every new count t at once.  Each
+    (suffix, count) pair feeds the suffix it shifts into; the pairs of one
+    target are reduced by a log-sum-exp shifted per output entry, because step
+    weights span far more than float range and an entry flushed by a shared
+    shift could still dominate the final sum.  Prefixes stay independent until
+    the wrap-around closure, so they are processed in chunks.  Requires
+    b >= 2p - 1, so that forward-band and wrap-around interactions never refer
+    to the same index pair.
     """
     b = gp.shape[0]
     sig2 = sigma**2
-    inv2 = 1.0 / (2.0 * sig2)
-    log_t_fact = gammaln(np.arange(alpha + 1, dtype=float) + 1.0)
+    ks = np.arange(p - 1, b)[:, None]  # forward positions
+    js = np.arange(p - 1)  # prefix positions, and suffix entries
+    # Step weights per forward position: self term and the interactions with
+    # the suffix, then with the prefix counts still within the band.
+    coef = np.column_stack([gp[ks[:, 0], ks[:, 0]], 2.0 * gp[ks, ks - p + 1 + js]]) / (2.0 * sig2)
+    lead = np.where(ks - js < p, gp[ks, js], 0.0) / sig2
+    # Wrap-around interactions between prefix position i and final suffix
+    # entry q have cyclic distance p - 1 - q + i, so only i <= q lies outside
+    # the forward band.
+    wrap = np.triu(gp[: p - 1, b - p + 1 :]) / sig2
+    g_head = gp[: p - 1, : p - 1]
 
-    total = np.full(alpha + 1, -np.inf)
-    for l in _prefixes(alpha, p - 1):
-        # Interactions and self terms inside the prefix block.
-        seed = 0.0
-        for i in range(p - 1):
-            for j in range(i + 1, p - 1):
-                seed += gp[i, j] * l[i] * l[j] / sig2
-            seed += gp[i, i] * l[i] * (l[i] - 1) * inv2 - float(gammaln(l[i] + 1.0))
-        arr0 = np.full(alpha + 1, -np.inf)
-        arr0[sum(l)] = seed
-        states: dict[tuple, np.ndarray] = {l: arr0}
+    prefixes = _compositions(alpha, p)[:, :-1]  # every (p-1)-vector with sum <= alpha
+    sums = prefixes.sum(axis=1)
+    log_s = np.full(alpha + 1, -np.inf)
+    with np.errstate(divide="ignore"):
+        for a in np.unique(sums):
+            beta = alpha - a
+            n = beta + 1
+            # Every (suffix, next count) pair within the budget, grouped by
+            # the suffix it shifts into.
+            pairs = _compositions(beta, p + 1)[:, :p]
+            suffixes, src = np.unique(pairs[:, :-1], axis=0, return_inverse=True)
+            _, dest = np.unique(pairs[:, 1:], axis=0, return_inverse=True)
+            order = np.argsort(dest, kind="stable")
+            pairs, src, dest = pairs[order], src[order], dest[order]
+            starts = np.flatnonzero(np.diff(dest, prepend=-1))
+            t = pairs[:, -1]
+            feat = np.column_stack([t * (t - 1.0), t[:, None] * pairs[:, :-1]])
+            base = coef @ feat.T - gammaln(t + 1.0)  # [position, pair]
 
-        for k in range(p - 1, b):
-            new_states: dict[tuple, np.ndarray] = {}
-            for r, arr in states.items():
-                L = len(r)
-                s1 = 2.0 * sum(gp[k, k - L + i] * r[i] for i in range(L))
-                # Totals below the first finite entry are unreachable, so a
-                # count tt > alpha - first would only shift -inf into range.
-                first = int(np.argmax(np.isfinite(arr)))
-                for tt in range(alpha + 1 - first):
-                    shifted = arr[: alpha + 1 - tt]
-                    delta = (gp[k, k] * tt * (tt - 1) + s1 * tt) * inv2 - log_t_fact[tt]
-                    key = r[1:] + (tt,) if p > 1 else ()
-                    dest = new_states.get(key)
-                    if dest is None:
-                        dest = np.full(alpha + 1, -np.inf)
-                        new_states[key] = dest
-                    dest[tt:] = np.logaddexp(dest[tt:], shifted + delta)
-            states = new_states
-
-        # Close the cycle: wrap-around interactions between the fixed prefix
-        # and the final suffix (cyclic distance i + j + 1 < p only; nearer
-        # pairs were already consumed by the forward pass).
-        for r, arr in states.items():
-            closure = 0.0
-            for i in range(p - 1):
-                for j in range(p - 1):
-                    if i + j <= p - 2:
-                        closure += gp[i, b - 1 - j] * l[i] * r[p - 2 - j] / sig2
-            total = np.logaddexp(total, arr + closure)
-    return total
+            group = prefixes[sums == a]
+            chunk = max(1, _DP_CHUNK_ELEMENTS // (len(pairs) * n))
+            for lo in range(0, len(group), chunk):
+                pre = group[lo : lo + chunk]
+                weights = base + (pre @ lead.T)[:, :, None] * t  # [prefix, position, pair]
+                state = np.full((len(pre), beta + n, len(suffixes)), -np.inf)
+                state[:, beta, 0] = (  # total 0, all-zero suffix
+                    np.einsum("li,ij,lj->l", pre, g_head, pre) - pre @ np.diag(g_head)
+                ) / (2.0 * sig2) - gammaln(pre + 1.0).sum(axis=1)
+                # window[l, m, s, beta - t] = state[l, beta + m - t, s]; a view,
+                # so it follows the in-place updates of state.
+                window = np.lib.stride_tricks.sliding_window_view(state, n, axis=1)
+                for w in weights.transpose(1, 0, 2):
+                    vals = window[:, :, src, beta - t] + w[:, None, :]
+                    top = np.maximum.reduceat(vals, starts, axis=2)
+                    top = np.where(np.isfinite(top), top, 0.0)
+                    state[:, beta:, :] = top + np.log(
+                        np.add.reduceat(np.exp(vals - top[:, :, dest]), starts, axis=2)
+                    )
+                closed = state[:, beta:, :] + (pre @ wrap @ suffixes.T)[:, None, :]
+                log_s[a:] = np.logaddexp(log_s[a:], logsumexp(closed, axis=(0, 2)))
+    return log_s
 
 
 def renyi_remove_orders(summary: GramSummary, alpha_max: int) -> np.ndarray:
@@ -290,14 +241,10 @@ def renyi_remove_orders(summary: GramSummary, alpha_max: int) -> np.ndarray:
     if b == 1:
         # Single component: plain Gaussian divergence (tau is 0 by convention).
         return orders * gp[0, 0] / (2.0 * sigma**2)
-    if p == 1:
-        log_s = _dp_sum_unit_bandwidth(np.diag(gp).copy(), sigma, alpha_max)
-    elif b <= 2 * p - 2:
+    if b <= 2 * p - 2:
         log_s = _log_sum_compositions(gp, sigma, alpha_max)
-    elif p == 2:
-        log_s = _dp_sum_bandwidth_two(gp, sigma, alpha_max)
     else:
-        log_s = _dp_sum_banded(gp, p, sigma, alpha_max)
+        log_s = _log_sum_banded(gp, p, sigma, alpha_max)
     rho = (log_s[2:] + gammaln(orders + 1.0) - orders * math.log(b)) / (orders - 1)
     return np.maximum(0.0, rho + summary.tau * orders / (2.0 * sigma**2))
 
@@ -375,8 +322,7 @@ def renyi_curve(
     if not alphas:
         raise ValueError("alpha_set must be non-empty")
     b = schedule.batches_per_epoch
-    if bandwidth is None:
-        bandwidth = min(strategy.bandwidth, 8, b)
+    bandwidth = _check_bandwidth(strategy, schedule, bandwidth)
     summaries: dict[int, GramSummary] = {}
 
     def summary_at(p: int) -> GramSummary:
@@ -430,6 +376,7 @@ def renyi_account(
     Returns (delta, alpha), or (delta, alpha, curve) with return_curve, where
     the curve holds the winning order's per-direction divergences.
     """
+    bandwidth = _check_bandwidth(strategy, schedule, bandwidth)
     if np.all(mixture_means(strategy, schedule).means == 0.0):
         # Identical dominating pair (zero mechanism): delta is exactly 0.
         delta, alpha = max(0.0, -math.expm1(epsilon)), min(alpha_set)

@@ -203,17 +203,18 @@ def test_compare_csv(tmp_path, capsys):
         assert len(line.split(",")) == 4
 
 
-def test_thread_cap_does_not_change_output(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "id2.txt"
-    main(["gen-matrix", "--kind", "identity", "--n", "2", "--out", str(path)])
-    argv = ["compare", "--matrix", str(path), "--epochs", "1", "--batches", "2",
-            "--delta", "1e-3", "--epsilons", "1,2", "--seed", "4",
-            "--samples", "2000", "--tol", "0.05"]
-    capsys.readouterr()
-    _, serial = run_and_capture(capsys, argv)
-    monkeypatch.setenv("BALLOC_THREADS", "4")
-    _, threaded = run_and_capture(capsys, argv)
-    assert serial == threaded
+@pytest.mark.parametrize("bandwidth", ["0", "-3", "3"])
+@pytest.mark.parametrize("command", [
+    ["account", "--sigma", "1", "--epsilon", "1"],
+    ["calibrate", "--epsilon", "1", "--delta", "1e-5"],
+    ["profile", "--sigma", "1", "--epsilons", "0.5,1"],
+])
+def test_renyi_bandwidth_outside_one_to_b_is_usage_error(identity4, capsys, command, bandwidth):
+    # b = 2, so only bandwidths 1 and 2 exist
+    code = main(command + ["--matrix", identity4, "--epochs", "2", "--batches", "2",
+                           "--method", "renyi", "--bandwidth", bandwidth])
+    assert code == 2
+    assert "bandwidth must be in [1, 2]" in capsys.readouterr().err
 
 
 def test_float_formatting_is_12_significant_digits(identity4, capsys):

@@ -89,6 +89,26 @@ def test_dp_matches_bruteforce_banded_random():
             assert abs(dp - bf) < 1e-9
 
 
+@pytest.mark.parametrize("p", range(1, 9))
+@pytest.mark.parametrize("offset", (-1, 1))
+def test_dp_matches_bruteforce_at_every_bandwidth(p, offset):
+    # b = 2p - 1 is the shortest schedule the forward DP serves: there the
+    # wrap-around closure meets the forward band, and band p already covers
+    # every index pair.  Two epochs make the Gram wrap around.
+    b = 2 * p + offset
+    rng = np.random.default_rng(10 * p + b)
+    sigma = float(rng.uniform(0.7, 1.5))
+    exact = summary_for(banded_instance(rng, b, 2, width=p), p, sigma)
+    truncated = summary_for(banded_instance(rng, b, 2, width=p + 1), p, sigma)
+    assert exact.tau == 0.0
+    assert (truncated.tau > 0.0) == (b > 2 * p)
+    for alpha in (2, 3, 4):
+        rho = renyi_remove_dp(exact, alpha)
+        assert abs(rho - renyi_remove_bruteforce(exact.gram, sigma, alpha)) < 1e-9
+        bound = renyi_remove_dp(truncated, alpha)
+        assert bound >= renyi_remove_bruteforce(truncated.gram, sigma, alpha) - 1e-12
+
+
 def test_dp_upper_bounds_bruteforce_with_truncation():
     d = inv_sqrt_toeplitz_coefficients(3)
     strategy = invert_banded_toeplitz(d, 12)
@@ -186,6 +206,8 @@ def test_account_zero_mechanism_gives_zero_delta():
     zero = StrategyMatrix.from_dense(np.zeros((4, 4)))
     delta, _ = renyi_account(zero, Schedule(2, 2), 1.0, 0.5)
     assert delta == 0.0
+    with pytest.raises(ValueError, match="bandwidth"):
+        renyi_account(zero, Schedule(2, 2), 1.0, 0.5, bandwidth=0)
 
 
 def test_curve_exactness_flag():
