@@ -40,14 +40,12 @@ from .pld import (
 )
 from .condcomp import (
     AllocationPlan,
-    StepDominatingPair,
     VariationalFamily,
     allocate,
     cond_comp_account,
     cond_comp_pld,
     hazard_from_tail,
     reverse_hazard_weights,
-    step_dominating_pair,
     step_hazards,
     tail_bound_add,
     tail_bound_remove,

@@ -43,7 +43,7 @@ def _condcomp_delta_fn(strategy, schedule, epsilon, delta_e, allocation):
     def f(sigma):
         return condcomp.cond_comp_account(
             strategy, schedule, sigma, epsilon, delta_e, allocation=allocation
-        )
+        )[0]
 
     return f
 
@@ -101,6 +101,8 @@ def calibrate_sigma(
         raise ValueError(f"delta_target must lie in (0, 1), got {delta_target}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < delta_e_fraction < 1.0:
+        raise ValueError(f"delta_e_fraction must lie in (0, 1), got {delta_e_fraction}")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     fns = {}

@@ -129,7 +129,7 @@ def _cmd_account(args) -> int:
     elif args.method == "condcomp":
         delta, per_direction = condcomp.cond_comp_account(
             strategy, schedule, args.sigma, args.epsilon, args.delta_e,
-            allocation=args.allocation, return_details=True,
+            allocation=args.allocation,
         )
         out["delta"] = delta
         out["delta_e"] = args.delta_e
@@ -163,7 +163,7 @@ def _cmd_account(args) -> int:
             strategy, schedule, args.sigma, args.epsilon,
             alpha_set=alpha_set, bandwidth=args.bandwidth,
         )
-        delta_c = condcomp.cond_comp_account(
+        delta_c, _ = condcomp.cond_comp_account(
             strategy, schedule, args.sigma, args.epsilon, args.delta_e,
             allocation=args.allocation,
         )
@@ -176,6 +176,8 @@ def _cmd_account(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    if not 0.0 < args.delta_e_frac < 1.0:
+        raise UsageError(f"--delta-e-frac must lie in (0, 1), got {args.delta_e_frac}")
     schedule = _load_schedule(args)
     strategy = _load_matrix(args, schedule)
     sigma = cal.calibrate_sigma(

@@ -7,10 +7,14 @@ posterior.  A hazard bound at component i follows from a lower tail bound on a
 ternary privacy loss: mixture of the i-1 smaller prefixes vs the i-th prefix,
 sampled under a reference measure that depends on the adjacency direction.
 Tail bounds use variational (ELBO) lower bounds on the mixture loss, which are
-Gaussian (or mixtures of Gaussians) with closed-form parameters.  Failure
-probabilities across steps and components are charged to the delta_E budget by
-the chosen allocation strategy; the per-step pairs then compose through the
-PLD engine.
+Gaussian (or mixtures of Gaussians) with closed-form parameters.
+
+`step_hazards` is the one hazard engine: it walks the steps once, keeping the
+prefix Gram matrix up to date, and bounds every component rank of every step.
+The delta_E failure budget is split by `AllocationPlan.blocks`, one table of
+(first step, last step, significance) per shared hazard vector for the chosen
+strategy; `apply_sharing` takes the componentwise max within each block, and
+the resulting per-step pairs compose through the PLD engine.
 """
 
 from __future__ import annotations
@@ -110,53 +114,28 @@ class AllocationPlan:
     delta_e: float
     strategy: str
 
-    def beta(self, n: int, i: int) -> float:
-        """Per-bound significance for step n, sorted component rank i >= 2."""
-        b = self.schedule.batches_per_epoch
-        if b == 1:
-            raise ValueError("b = 1 carries no mixture uncertainty or bounds")
-        k = self.schedule.epochs
-        n_total = self.schedule.iterations
-        if not 1 <= n <= n_total:
-            raise ValueError(f"step {n} outside 1..{n_total}")
-        if not 2 <= i <= b:
-            raise ValueError(f"component rank {i} outside 2..{b}")
-        if self.strategy == "union":
-            return self.delta_e / (n_total * (b - 1))
-        if self.strategy == "global-max":
-            return self.delta_e / (b - 1)
-        if n <= b:
-            return self.delta_e / (n_total * (b - 1))
-        return self.delta_e / (k * (b - 1))
+    def blocks(self) -> list[tuple[int, int, float]]:
+        """(first step, last step, beta) per shared hazard vector, steps 1-based.
 
-    def shared_blocks(self) -> list[tuple[int, int]]:
-        """Step ranges (1-based, inclusive) that share one hazard vector."""
+        Each block holds b-1 bounds (component ranks 2..b) at significance
+        beta, so sum over blocks of (b-1)*beta is delta_E.  Empty when b = 1:
+        one batch carries no mixture uncertainty and no bounds.
+        """
         b = self.schedule.batches_per_epoch
         k = self.schedule.epochs
         n_total = self.schedule.iterations
-        if self.strategy == "union" or b == 1:
-            return [(n, n) for n in range(1, n_total + 1)]
-        if self.strategy == "global-max":
-            return [(1, n_total)]
-        blocks = [(n, n) for n in range(1, b + 1)]
-        blocks += [(e * b + 1, (e + 1) * b) for e in range(1, k)]
-        return blocks
-
-    def bound_events(self) -> list[tuple[int, float]]:
-        """(count, per-bound significance) pairs for the failure-budget ledger."""
-        b = self.schedule.batches_per_epoch
         if b == 1:
             return []
-        k = self.schedule.epochs
-        n_total = self.schedule.iterations
         if self.strategy == "union":
-            return [(n_total * (b - 1), self.delta_e / (n_total * (b - 1)))]
+            beta = self.delta_e / (n_total * (b - 1))
+            return [(n, n, beta) for n in range(1, n_total + 1)]
         if self.strategy == "global-max":
-            return [(b - 1, self.delta_e / (b - 1))]
-        events = [(b * (b - 1), self.delta_e / (n_total * (b - 1)))]
-        if k > 1:
-            events.append(((k - 1) * (b - 1), self.delta_e / (k * (b - 1))))
-        return events
+            return [(1, n_total, self.delta_e / (b - 1))]
+        first = self.delta_e / (n_total * (b - 1))
+        later = self.delta_e / (k * (b - 1))
+        return [(n, n, first) for n in range(1, b + 1)] + [
+            (e * b + 1, (e + 1) * b, later) for e in range(1, k)
+        ]
 
 
 def allocate(schedule: Schedule, delta_e: float, strategy: str = "hybrid") -> AllocationPlan:
@@ -220,14 +199,7 @@ def _mixture_lower_quantiles(nus: np.ndarray, log_w: np.ndarray, xi: np.ndarray,
     return lo
 
 
-def _tau_core(
-    h: np.ndarray,
-    i: int,
-    ref_rows,
-    sigma: float,
-    beta: float,
-    family: VariationalFamily,
-) -> float:
+def _tau_core(h: np.ndarray, i: int, ref_rows, sigma: float, beta: float) -> float:
     """Tail bound tau with Pr[L < tau] <= beta under the reference measure.
 
     h is a Gram matrix of prefix vectors laid out so rows 0..i-1 are the
@@ -243,7 +215,7 @@ def _tau_core(
     hii = h[i, i]
     diag = np.diag(h)[:i]
     sq_dists = diag + hii - 2.0 * h[i, :i]
-    psis = family.members(sq_dists)
+    psis = DEFAULT_FAMILY.members(sq_dists)
     if psis.shape[0] == 0:
         # Every candidate coincides with the excluded component: L == 0.
         return 0.0
@@ -290,23 +262,16 @@ def _tau_core(
     return float(taus.max())
 
 
-def tail_bound_add(mu_list, mu_i, sigma: float, beta: float, family: VariationalFamily = DEFAULT_FAMILY) -> float:
+def tail_bound_add(mu_list, mu_i, sigma: float, beta: float) -> float:
     """Analytic lower tail bound for the ternary loss under R = N(0, sigma^2 I)."""
     mus = [np.asarray(m, dtype=float) for m in mu_list]
     if not mus:
         raise ValueError("need at least one candidate component")
     v = np.vstack(mus + [np.asarray(mu_i, dtype=float)])
-    return _tau_core(v @ v.T, len(mus), None, sigma, beta, family)
+    return _tau_core(v @ v.T, len(mus), None, sigma, beta)
 
 
-def tail_bound_remove(
-    mu_list,
-    mu_i,
-    tail_means,
-    sigma: float,
-    beta: float,
-    family: VariationalFamily = DEFAULT_FAMILY,
-) -> float:
+def tail_bound_remove(mu_list, mu_i, tail_means, sigma: float, beta: float) -> float:
     """Bisected lower tail bound under the uniform tail mixture R = avg_k N(mu_k, sigma^2 I)."""
     mus = [np.asarray(m, dtype=float) for m in mu_list]
     tails = [np.asarray(m, dtype=float) for m in tail_means]
@@ -317,39 +282,7 @@ def tail_bound_remove(
     v = np.vstack(mus + [np.asarray(mu_i, dtype=float)] + tails)
     i = len(mus)
     ref = np.arange(i + 1, i + 1 + len(tails))
-    return _tau_core(v @ v.T, i, ref, sigma, beta, family)
-
-
-@dataclass(frozen=True)
-class StepDominatingPair:
-    """Per-step univariate dominating pair with its hazard certificates."""
-
-    step: int
-    sorted_scalar_means: np.ndarray
-    weights: np.ndarray
-    hazards: np.ndarray
-    direction: str
-    sigma: float
-
-    def to_mixture_pair(self) -> MixGaussPair:
-        return MixGaussPair(self.sorted_scalar_means, self.weights, self.sigma, self.direction)
-
-
-def _hazards_for_step(
-    h_sorted: np.ndarray,
-    betas: np.ndarray,
-    sigma: float,
-    direction: str,
-    family: VariationalFamily,
-) -> np.ndarray:
-    """Hazard bounds for one step given the sorted prefix Gram matrix."""
-    b = h_sorted.shape[0]
-    lam = np.ones(b)
-    for i in range(1, b):
-        ref = np.arange(i, b) if direction == REMOVE else None
-        tau = _tau_core(h_sorted, i, ref, sigma, float(betas[i - 1]), family)
-        lam[i] = expit(-math.log(i) - tau)
-    return np.clip(lam, _HAZARD_FLOOR, 1.0)
+    return _tau_core(v @ v.T, i, ref, sigma, beta)
 
 
 def step_hazards(
@@ -357,86 +290,54 @@ def step_hazards(
     sigma: float,
     plan: AllocationPlan,
     direction: str,
-    family: VariationalFamily = DEFAULT_FAMILY,
 ) -> np.ndarray:
     """Per-step hazard bounds, (N, b), before any cross-step sharing.
 
     Column i-1 bounds the reverse hazard of the i-th smallest component at
-    that step.  Prefix inner products are maintained incrementally (one rank-1
-    update per step) rather than recomputed from the raw prefixes.
+    that step, at the significance of the step's block in the plan.  Prefix
+    inner products are maintained incrementally (one rank-1 update per step)
+    rather than recomputed from the raw prefixes.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
+    if direction not in (REMOVE, ADD):
+        raise ValueError(f"direction must be 'remove' or 'add', got {direction!r}")
     m = means.means
     b, n_total = m.shape
     lam = np.ones((n_total, b))
     if b == 1:
         return lam
+    betas = np.empty(n_total)
+    for first, last, beta in plan.blocks():
+        betas[first - 1 : last] = beta
     gram_prefix = np.zeros((b, b))
-    for n in range(1, n_total + 1):
-        scalars = m[:, n - 1]
+    for n in range(n_total):
+        scalars = m[:, n]
         order = np.argsort(scalars, kind="stable")
         h_sorted = gram_prefix[np.ix_(order, order)]
-        betas = np.array([plan.beta(n, i) for i in range(2, b + 1)])
-        lam[n - 1] = _hazards_for_step(h_sorted, betas, sigma, direction, family)
+        for i in range(1, b):
+            ref = np.arange(i, b) if direction == REMOVE else None
+            tau = _tau_core(h_sorted, i, ref, sigma, float(betas[n]))
+            lam[n, i] = hazard_from_tail(i + 1, tau)
         gram_prefix += np.outer(scalars, scalars)
-    return lam
+    return np.clip(lam, _HAZARD_FLOOR, 1.0)
 
 
 def apply_sharing(hazards: np.ndarray, plan: AllocationPlan) -> np.ndarray:
     """Componentwise max of hazards within each of the plan's shared blocks."""
     out = np.array(hazards)
-    for start, end in plan.shared_blocks():
-        if end > start:
-            out[start - 1 : end] = out[start - 1 : end].max(axis=0)
+    for first, last, _ in plan.blocks():
+        out[first - 1 : last] = out[first - 1 : last].max(axis=0)
     return out
 
 
-def step_dominating_pair(
-    means: MixtureMeans,
-    n: int,
-    sigma: float,
-    plan: AllocationPlan,
-    direction: str,
-    family: VariationalFamily = DEFAULT_FAMILY,
-) -> StepDominatingPair:
-    """Dominating pair for a single step (no cross-step hazard sharing)."""
-    m = means.means
-    b, n_total = m.shape
-    if not 1 <= n <= n_total:
-        raise ValueError(f"step {n} outside 1..{n_total}")
-    if direction not in (REMOVE, ADD):
-        raise ValueError(f"direction must be 'remove' or 'add', got {direction!r}")
-    scalars = m[:, n - 1]
-    order = np.argsort(scalars, kind="stable")
-    prefix = m[order][:, : n - 1]
-    h_sorted = prefix @ prefix.T
-    if b == 1:
-        lam = np.ones(1)
-    else:
-        betas = np.array([plan.beta(n, i) for i in range(2, b + 1)])
-        lam = _hazards_for_step(h_sorted, betas, sigma, direction, family)
-    weights = reverse_hazard_weights(lam)
-    return StepDominatingPair(
-        step=n,
-        sorted_scalar_means=np.sort(scalars),
-        weights=weights,
-        hazards=lam,
-        direction=direction,
-        sigma=sigma,
-    )
-
-
-def _compose_steps(pairs, grid_spacing, loss_floor, tail_mass, grid_points):
-    h = grid_spacing if grid_spacing is not None else pld.auto_spacing(
-        pairs, loss_floor, tail_mass, grid_points
-    )
+def _compose_steps(pairs, grid_spacing):
+    h = grid_spacing if grid_spacing is not None else pld.auto_spacing(pairs)
     groups = Counter(pair.key() for pair in pairs)
     by_key = {pair.key(): pair for pair in pairs}
     composed = []
     for key, count in groups.items():
-        one = pld.discretize(by_key[key], h, loss_floor, tail_mass)
-        composed.append(pld.compose_power(one, count))
+        composed.append(pld.compose_power(pld.discretize(by_key[key], h), count))
     return pld.compose(composed)
 
 
@@ -446,10 +347,6 @@ def cond_comp_pld(
     sigma: float,
     delta_e: float,
     allocation: str = "hybrid",
-    family: VariationalFamily = DEFAULT_FAMILY,
-    loss_floor: float = pld.LOSS_FLOOR,
-    tail_mass: float = pld.TAIL_MASS,
-    grid_points: int = pld.GRID_POINTS,
     grid_spacing: float | None = None,
 ) -> dict:
     """Composed per-direction privacy-loss distributions for the whole run."""
@@ -457,16 +354,14 @@ def cond_comp_pld(
     plan = allocate(schedule, delta_e, allocation)
     out = {}
     for direction in (REMOVE, ADD):
-        lam = apply_sharing(step_hazards(means, sigma, plan, direction, family), plan)
+        lam = apply_sharing(step_hazards(means, sigma, plan, direction), plan)
         pairs = [
             MixGaussPair(
                 np.sort(means.means[:, n]), reverse_hazard_weights(lam[n]), sigma, direction
             )
             for n in range(schedule.iterations)
         ]
-        out[direction] = _compose_steps(
-            pairs, grid_spacing, loss_floor, tail_mass, grid_points
-        )
+        out[direction] = _compose_steps(pairs, grid_spacing)
     return out
 
 
@@ -477,19 +372,15 @@ def cond_comp_account(
     epsilon: float,
     delta_e: float,
     allocation: str = "hybrid",
-    family: VariationalFamily = DEFAULT_FAMILY,
     grid_spacing: float | None = None,
-    return_details: bool = False,
-):
-    """delta(epsilon) = max over directions of the composed PLD, plus delta_e."""
+) -> tuple[float, dict]:
+    """(delta, per-direction composed delta) at epsilon; delta adds delta_e."""
     means = mixture_means(strategy, schedule)
     if np.all(means.means == 0.0):
         # Identical dominating pair: exactly zero privacy loss, no bad event.
-        zero = max(0.0, -math.expm1(epsilon))
-        return (zero, {REMOVE: 0.0, ADD: 0.0}) if return_details else zero
+        return max(0.0, -math.expm1(epsilon)), {REMOVE: 0.0, ADD: 0.0}
     composed = cond_comp_pld(
-        strategy, schedule, sigma, delta_e, allocation, family, grid_spacing=grid_spacing
+        strategy, schedule, sigma, delta_e, allocation, grid_spacing=grid_spacing
     )
     per_direction = {d: pld.delta_at(composed[d], epsilon) for d in (REMOVE, ADD)}
-    delta = min(1.0, max(per_direction.values()) + delta_e)
-    return (delta, per_direction) if return_details else delta
+    return min(1.0, max(per_direction.values()) + delta_e), per_direction

@@ -16,11 +16,9 @@ import numpy as np
 from scipy.special import logsumexp, ndtri
 
 from .mechanism import MixtureMeans, gram
+from .pld import ADD, REMOVE
 
 _CHUNK = 1 << 15
-
-REMOVE = "remove"
-ADD = "add"
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import log_ndtr, ndtr, ndtri
 
+from .mechanism import _freeze
+
 LOSS_FLOOR = -50.0
 TAIL_MASS = 1e-15
 GRID_POINTS = 1000
@@ -64,8 +66,8 @@ class MixGaussPair:
         merged = np.zeros(uniq.size)
         np.add.at(merged, inverse, weights)
         for name, value in (
-            ("means", _ro(uniq)),
-            ("weights", _ro(merged)),
+            ("means", _freeze(uniq)),
+            ("weights", _freeze(merged)),
             ("sigma", float(sigma)),
             ("direction", direction),
         ):
@@ -78,12 +80,6 @@ class MixGaussPair:
     def degenerate(self) -> bool:
         """True when the mixture collapses to N(0, sigma), i.e. the pair is (Q, Q)."""
         return bool(np.all(self.means == 0.0))
-
-
-def _ro(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
 
 
 def _mix_loss(pair: MixGaussPair, y: np.ndarray) -> np.ndarray:
@@ -196,7 +192,7 @@ class DiscretePLD:
 
 
 def point_mass_pld(h: float) -> DiscretePLD:
-    return DiscretePLD(h=h, lo_index=0, pmf=_ro(np.array([1.0])), infinity_mass=0.0)
+    return DiscretePLD(h=h, lo_index=0, pmf=_freeze(np.array([1.0])), infinity_mass=0.0)
 
 
 def discretize(
@@ -238,7 +234,7 @@ def discretize(
     pmf = np.diff(head, prepend=0.0)
     infinity_mass = float(deltas[-1])
     pmf[0] = max(0.0, 1.0 - infinity_mass - float(pmf[1:].sum()))
-    return DiscretePLD(h=h, lo_index=j_lo, pmf=_ro(pmf), infinity_mass=infinity_mass)
+    return DiscretePLD(h=h, lo_index=j_lo, pmf=_freeze(pmf), infinity_mass=infinity_mass)
 
 
 def auto_spacing(
@@ -287,7 +283,7 @@ def compose(plds) -> DiscretePLD:
         pmf = _convolve(pmf, p.pmf)
         lo += p.lo_index
         keep *= 1.0 - p.infinity_mass
-    return DiscretePLD(h=h, lo_index=lo, pmf=_ro(pmf), infinity_mass=1.0 - keep)
+    return DiscretePLD(h=h, lo_index=lo, pmf=_freeze(pmf), infinity_mass=1.0 - keep)
 
 
 def compose_power(pld: DiscretePLD, n: int) -> DiscretePLD:

@@ -4,6 +4,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from balloc.condcomp import _tau_core, hazard_from_tail
+
 
 def gaussian_profile_delta(sensitivity: float, sigma: float, epsilon: float) -> float:
     """Closed-form delta(epsilon) of the Gaussian mechanism."""
@@ -68,3 +70,31 @@ def collinear_add_renyi_quadrature(ts, sigma, alpha) -> float:
 
     val, _ = quad(lambda y: q(y) ** alpha / p(y) ** (alpha - 1), -lim, lim, limit=400)
     return float(np.log(val) / (alpha - 1))
+
+
+def single_step_hazards(means, n: int, sigma: float, plan, direction: str) -> np.ndarray:
+    """Hazard bounds of step n alone, its prefix Gram formed from the raw prefixes.
+
+    Rows of the Gram follow the step's scalar means in ascending order; rank
+    i+1 takes i candidates, and the remove direction's reference mixture is
+    every component from rank i+1 up.  The per-bound significance is written
+    out per allocation strategy.
+    """
+    b = plan.schedule.batches_per_epoch
+    k = plan.schedule.epochs
+    n_total = plan.schedule.iterations
+    if plan.strategy == "union" or (plan.strategy == "hybrid" and n <= b):
+        beta = plan.delta_e / (n_total * (b - 1))
+    elif plan.strategy == "global-max":
+        beta = plan.delta_e / (b - 1)
+    else:
+        beta = plan.delta_e / (k * (b - 1))
+    m = means.means
+    order = np.argsort(m[:, n - 1], kind="stable")
+    prefix = m[order][:, : n - 1]
+    h_sorted = prefix @ prefix.T
+    lam = np.ones(b)
+    for i in range(1, b):
+        ref = np.arange(i, b) if direction == "remove" else None
+        lam[i] = hazard_from_tail(i + 1, _tau_core(h_sorted, i, ref, sigma, beta))
+    return np.clip(lam, 1e-300, 1.0)

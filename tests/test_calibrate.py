@@ -64,6 +64,12 @@ def test_calibrate_validation():
         calibrate_sigma("bogus", build_identity(2), Schedule(1, 2), 1.0, 1e-5)
     with pytest.raises(ValueError):
         calibrate_sigma("renyi", build_identity(2), Schedule(1, 2), 1.0, 1e-5, tol=0.0)
+    for fraction in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="delta_e_fraction"):
+            calibrate_sigma(
+                "condcomp", build_identity(2), Schedule(1, 2), 1.0, 1e-5,
+                delta_e_fraction=fraction,
+            )
 
 
 def test_mc_reference_calibration_single_gaussian():

@@ -156,6 +156,15 @@ def test_calibrate_command(identity4, capsys):
     assert renyi_account(build_identity(4), Schedule(2, 2), sigma, 1.0)[0] <= 1e-5
 
 
+@pytest.mark.parametrize("fraction", ["0", "1", "1.5"])
+def test_calibrate_delta_e_frac_outside_zero_one_is_usage_error(identity4, capsys, fraction):
+    code = main(["calibrate", "--matrix", identity4, "--epochs", "1", "--batches", "4",
+                 "--epsilon", "1", "--delta", "1e-5", "--method", "condcomp",
+                 "--delta-e-frac", fraction])
+    assert code == 2
+    assert "--delta-e-frac must lie in (0, 1)" in capsys.readouterr().err
+
+
 def test_profile_csv(identity4, capsys, tmp_path):
     code, out = run_and_capture(
         capsys,

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,25 +10,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+import balloc
+from balloc import condcomp
 from balloc.condcomp import (
     DEFAULT_FAMILY,
+    STRATEGIES,
     VariationalFamily,
     allocate,
     apply_sharing,
     cond_comp_account,
     hazard_from_tail,
     reverse_hazard_weights,
-    step_dominating_pair,
     step_hazards,
     tail_bound_add,
     tail_bound_remove,
     _tau_core,
 )
-from balloc.mechanism import Schedule, StrategyMatrix, build_identity, mixture_means
+from balloc.mechanism import (
+    Schedule,
+    StrategyMatrix,
+    build_identity,
+    mixture_means,
+    sqrt_toeplitz_coefficients,
+)
 from balloc.mc import TernaryLoss, mc_exceedance, ternary_loss_samples
 from balloc.pld import ADD, REMOVE
 
-from oracles import gaussian_profile_delta
+from oracles import gaussian_profile_delta, single_step_hazards
 
 
 def test_reverse_hazard_weights_cases():
@@ -73,7 +85,7 @@ def test_tail_bound_add_single_component():
     assert tau == pytest.approx(-1.5, abs=1e-9)
 
 
-def test_point_mass_member_pays_kl():
+def test_point_mass_member_pays_kl(monkeypatch):
     # two distinct candidates; compare a point-mass member against uniform
     mus = [np.array([2.0, 0.0]), np.array([0.0, 2.0])]
     mu_i = np.array([0.0, 0.0])
@@ -83,8 +95,10 @@ def test_point_mass_member_pays_kl():
     point = np.array([[1.0, 0.0]])
     uniform = np.array([[0.5, 0.5]])
     z = float(norm.ppf(beta))
-    tau_point = _tau_core(h, 2, None, 1.0, beta, _FixedFamily(point))
-    tau_unif = _tau_core(h, 2, None, 1.0, beta, _FixedFamily(uniform))
+    monkeypatch.setattr(condcomp, "DEFAULT_FAMILY", _FixedFamily(point))
+    tau_point = _tau_core(h, 2, None, 1.0, beta)
+    monkeypatch.setattr(condcomp, "DEFAULT_FAMILY", _FixedFamily(uniform))
+    tau_unif = _tau_core(h, 2, None, 1.0, beta)
     # point mass: nu = (0 - 4)/2 - log(2); uniform: nu = (0 - 4)/2 - 0
     assert tau_point == pytest.approx(-2.0 - math.log(2.0) + 2.0 * z, abs=1e-9)
     assert tau_unif == pytest.approx(-2.0 + math.sqrt(2.0) * z, abs=1e-9)
@@ -131,7 +145,7 @@ def test_tail_bound_remove_cdf_hits_beta():
         tails = [mu_i] + [rng.normal(size=dim) for _ in range(2)]
         sigma = float(rng.uniform(0.7, 1.5))
         beta = 10 ** float(rng.uniform(-8, -3))
-        tau = tail_bound_remove(mus, mu_i, tails, sigma, beta, DEFAULT_FAMILY)
+        tau = tail_bound_remove(mus, mu_i, tails, sigma, beta)
         # re-evaluate the variational mixture CDF at the returned tau for the
         # best member: it must sit in [beta - 1e-10, beta]
         best = -np.inf
@@ -237,18 +251,29 @@ def test_tail_bounds_statistically_sound_small():
         assert freq <= beta + 3 * math.sqrt(beta / n_samples)
 
 
+def _covered_steps(blocks):
+    return [n for first, last, _ in blocks for n in range(first, last + 1)]
+
+
 def test_allocate_strategies_and_ledger():
+    # every strategy's table covers steps 1..N once, in order, and its
+    # b-1 bounds per block spend exactly delta_E
+    delta_e = 0.5e-5
+    for k in (1, 4):
+        sched = Schedule(k, 100)
+        for strategy in STRATEGIES:
+            blocks = allocate(sched, delta_e, strategy).blocks()
+            assert _covered_steps(blocks) == list(range(1, sched.iterations + 1))
+            spent = sum(99 * beta for _, _, beta in blocks)
+            assert spent == pytest.approx(delta_e, rel=1e-12)
     sched = Schedule(4, 100)
-    for strategy in ("union", "global-max", "hybrid"):
-        plan = allocate(sched, 0.5e-5, strategy)
-        assert sum(c * b for c, b in plan.bound_events()) <= 0.5e-5 * (1 + 1e-12)
-    hybrid = allocate(sched, 0.5e-5, "hybrid")
-    assert hybrid.beta(5, 3) == pytest.approx(0.5e-5 / (400 * 99))
-    assert hybrid.beta(150, 3) == pytest.approx(0.5e-5 / (4 * 99))
-    union = allocate(sched, 0.5e-5, "union")
-    assert union.beta(150, 3) == pytest.approx(0.5e-5 / (400 * 99))
-    gmax = allocate(sched, 0.5e-5, "global-max")
-    assert gmax.beta(150, 3) == pytest.approx(0.5e-5 / 99)
+    hybrid = allocate(sched, delta_e, "hybrid").blocks()
+    assert hybrid[4] == (5, 5, delta_e / (400 * 99))
+    assert hybrid[-1] == (301, 400, delta_e / (4 * 99))
+    assert hybrid[100] == (101, 200, delta_e / (4 * 99))
+    union = allocate(sched, delta_e, "union").blocks()
+    assert union[149] == (150, 150, delta_e / (400 * 99))
+    assert allocate(sched, delta_e, "global-max").blocks() == [(1, 400, delta_e / 99)]
     with pytest.raises(ValueError):
         allocate(sched, 0.0, "union")
     with pytest.raises(ValueError):
@@ -259,17 +284,12 @@ def test_hybrid_equals_union_for_single_epoch():
     sched = Schedule(1, 10)
     hybrid = allocate(sched, 1e-5, "hybrid")
     union = allocate(sched, 1e-5, "union")
-    for n in (1, 5, 10):
-        for i in (2, 7):
-            assert hybrid.beta(n, i) == union.beta(n, i)
-    assert hybrid.shared_blocks() == union.shared_blocks()
+    assert hybrid.blocks() == union.blocks()
 
 
 def test_allocate_b_equals_one():
-    plan = allocate(Schedule(4, 1), 1e-5, "hybrid")
-    assert plan.bound_events() == []
-    with pytest.raises(ValueError):
-        plan.beta(1, 2)
+    for strategy in STRATEGIES:
+        assert allocate(Schedule(4, 1), 1e-5, strategy).blocks() == []
 
 
 def test_apply_sharing_blocks():
@@ -283,36 +303,47 @@ def test_apply_sharing_blocks():
 
 
 def test_step_pair_first_step_is_uniform():
+    # an empty prefix leaves nothing to tell the components apart
     means = mixture_means(build_identity(4), Schedule(1, 4))
     plan = allocate(Schedule(1, 4), 1e-5, "union")
     for direction in (REMOVE, ADD):
-        pair = step_dominating_pair(means, 1, 1.0, plan, direction)
-        assert pair.weights == pytest.approx(np.full(4, 0.25))
-        assert pair.hazards == pytest.approx([1.0, 0.5, 1 / 3, 0.25])
+        lam = step_hazards(means, 1.0, plan, direction)[0]
+        assert lam == pytest.approx([1.0, 0.5, 1 / 3, 0.25])
+        assert reverse_hazard_weights(lam) == pytest.approx(np.full(4, 0.25))
+    with pytest.raises(ValueError):
+        step_hazards(means, 1.0, plan, "sideways")
 
 
 def test_step_pair_b_equals_one():
     means = mixture_means(build_identity(3), Schedule(3, 1))
     plan = allocate(Schedule(3, 1), 1e-5, "hybrid")
-    pair = step_dominating_pair(means, 2, 1.5, plan, REMOVE)
-    assert pair.weights == pytest.approx([1.0])
-    assert pair.sorted_scalar_means == pytest.approx([1.0])
+    lam = step_hazards(means, 1.5, plan, REMOVE)
+    assert lam.shape == (3, 1)
+    assert reverse_hazard_weights(lam[1]) == pytest.approx([1.0])
+    assert np.sort(means.means[:, 1]) == pytest.approx([1.0])
 
 
 def test_step_hazards_match_single_step_builder():
-    means = mixture_means(build_identity(6), Schedule(2, 3))
-    plan = allocate(Schedule(2, 3), 1e-4, "union")
-    lam = step_hazards(means, 1.0, plan, REMOVE)
-    for n in (1, 3, 4, 6):
-        single = step_dominating_pair(means, n, 1.0, plan, REMOVE)
-        assert lam[n - 1] == pytest.approx(single.hazards, rel=1e-10)
+    # the incremental rank-1 Gram update and the per-step significance
+    # against the prefix Gram formed from the raw prefixes at every step
+    bsr = StrategyMatrix.from_toeplitz(sqrt_toeplitz_coefficients(4), size=12)
+    cases = [(build_identity(12), Schedule(3, 4)), (bsr, Schedule(3, 4)), (bsr, Schedule(2, 6))]
+    for strategy, sched in cases:
+        means = mixture_means(strategy, sched)
+        for allocation in STRATEGIES:
+            plan = allocate(sched, 1e-4, allocation)
+            for direction in (REMOVE, ADD):
+                lam = step_hazards(means, 1.0, plan, direction)
+                for n in range(1, sched.iterations + 1):
+                    single = single_step_hazards(means, n, 1.0, plan, direction)
+                    assert lam[n - 1] == pytest.approx(single, rel=1e-10)
 
 
 def test_cond_comp_single_batch_matches_gaussian_composition():
     # b = 1: per-step pairs are plain unit-shift Gaussians; the N-fold
     # composition is a Gaussian mechanism with sensitivity sqrt(N)
     n, sigma, eps, delta_e = 4, 2.0, 1.0, 1e-6
-    delta = cond_comp_account(
+    delta, _ = cond_comp_account(
         build_identity(n), Schedule(n, 1), sigma, eps, delta_e, grid_spacing=2e-4
     )
     oracle = gaussian_profile_delta(math.sqrt(n), sigma, eps) + delta_e
@@ -323,20 +354,40 @@ def test_cond_comp_single_batch_matches_gaussian_composition():
 def test_cond_comp_monotone_in_sigma_and_epsilon():
     strategy = build_identity(8)
     sched = Schedule(2, 4)
-    deltas_eps = [cond_comp_account(strategy, sched, 1.0, e, 1e-6) for e in (0.5, 1.0, 2.0)]
+    deltas_eps = [cond_comp_account(strategy, sched, 1.0, e, 1e-6)[0] for e in (0.5, 1.0, 2.0)]
     assert all(a >= b for a, b in zip(deltas_eps, deltas_eps[1:]))
-    deltas_sig = [cond_comp_account(strategy, sched, s, 1.0, 1e-6) for s in (0.7, 1.0, 2.0)]
+    deltas_sig = [cond_comp_account(strategy, sched, s, 1.0, 1e-6)[0] for s in (0.7, 1.0, 2.0)]
     assert all(a >= b for a, b in zip(deltas_sig, deltas_sig[1:]))
 
 
 def test_cond_comp_zero_mechanism():
     zero = StrategyMatrix.from_dense(np.zeros((4, 4)))
-    assert cond_comp_account(zero, Schedule(2, 2), 1.0, 0.5, 1e-6) == 0.0
+    assert cond_comp_account(zero, Schedule(2, 2), 1.0, 0.5, 1e-6) == (
+        0.0, {REMOVE: 0.0, ADD: 0.0}
+    )
 
 
 def test_cond_comp_details_directions():
-    delta, per = cond_comp_account(
-        build_identity(6), Schedule(2, 3), 1.0, 1.0, 1e-6, return_details=True
-    )
+    delta, per = cond_comp_account(build_identity(6), Schedule(2, 3), 1.0, 1.0, 1e-6)
     assert set(per) == {REMOVE, ADD}
     assert delta == pytest.approx(min(1.0, max(per.values()) + 1e-6))
+
+
+def test_hazard_trace_script_smoke():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "hazard_trace.py"
+    src = os.path.dirname(os.path.dirname(balloc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, str(script), "--n", "8", "--epochs", "2", "--sigma", "5"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    lines = done.stdout.strip().splitlines()
+    assert lines[0] == "step,lambda_b_union,lambda_b_hybrid,lambda_b_global-max"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(1, 9))
+    assert all(float(v) == 0.25 for v in rows[0][1:])
+    sched = Schedule(2, 4)
+    lam = step_hazards(
+        mixture_means(build_identity(8), sched), 5.0, allocate(sched, 0.5e-5, "union"), REMOVE
+    )[:, -1]
+    assert [r[1] for r in rows] == [f"{v:.12g}" for v in lam]

@@ -98,7 +98,7 @@ def test_deterministic_bounds_dominate_mc_small_instance():
     means = mixture_means(strategy, sched)
     for sigma, eps in [(1.0, 1.0), (2.0, 0.5)]:
         det_r = renyi_account(strategy, sched, sigma, eps)[0]
-        det_c = cond_comp_account(strategy, sched, sigma, eps, 1e-7)
+        det_c = cond_comp_account(strategy, sched, sigma, eps, 1e-7)[0]
         for direction in ("remove", "add"):
             est = mc_delta(means, sigma, eps, direction, 10**5, seed=11)
             floor = est.point_estimate - (est.ci_high - est.point_estimate)
