@@ -13,7 +13,7 @@ Example:
 import argparse
 import sys
 
-from balloc.condcomp import allocate, step_hazards
+from balloc.condcomp import AllocationPlan, step_hazards
 from balloc.mechanism import Schedule, build_identity, mixture_means
 
 
@@ -39,7 +39,7 @@ def main() -> int:
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
     columns = {}
     for strategy in strategies:
-        plan = allocate(schedule, args.delta_e, strategy)
+        plan = AllocationPlan(schedule, args.delta_e, strategy)
         lam = step_hazards(means, args.sigma, plan, args.direction)
         columns[strategy] = lam[:, -1]
         print(f"{strategy}: done", file=sys.stderr)

@@ -41,7 +41,6 @@ from .pld import (
 from .condcomp import (
     AllocationPlan,
     VariationalFamily,
-    allocate,
     cond_comp_account,
     cond_comp_pld,
     hazard_from_tail,

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import condcomp, mc, pld, renyi
 from .mechanism import Schedule, StrategyMatrix, mixture_means
 
@@ -22,30 +20,19 @@ class UnachievableTargetError(RuntimeError):
 
 @dataclass(frozen=True)
 class PrivacyPoint:
-    """One (epsilon, delta) readout with provenance."""
+    """One (epsilon, delta) readout with provenance.
+
+    breakdown holds delta per adjacency direction, or per accountant for
+    `best`; alpha is the winning Renyi order (renyi and best); estimate is the
+    worst direction's Monte Carlo estimate (mc).
+    """
 
     epsilon: float
     delta: float
     method: str
-    direction: str
-
-
-def _renyi_delta_fn(strategy, schedule, epsilon, alpha_set, bandwidth):
-    def f(sigma):
-        return renyi.renyi_account(
-            strategy, schedule, sigma, epsilon, alpha_set=alpha_set, bandwidth=bandwidth
-        )[0]
-
-    return f
-
-
-def _condcomp_delta_fn(strategy, schedule, epsilon, delta_e, allocation):
-    def f(sigma):
-        return condcomp.cond_comp_account(
-            strategy, schedule, sigma, epsilon, delta_e, allocation=allocation
-        )[0]
-
-    return f
+    breakdown: dict
+    alpha: int | None = None
+    estimate: mc.MCEstimate | None = None
 
 
 def smallest_sigma(delta_fn, delta_target: float, tol: float) -> float:
@@ -105,14 +92,25 @@ def calibrate_sigma(
         raise ValueError(f"delta_e_fraction must lie in (0, 1), got {delta_e_fraction}")
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-    fns = {}
-    if method in ("renyi", "best"):
-        fns["renyi"] = _renyi_delta_fn(strategy, schedule, epsilon, alpha_set, bandwidth)
-    if method in ("condcomp", "best"):
-        fns["condcomp"] = _condcomp_delta_fn(
-            strategy, schedule, epsilon, delta_target * delta_e_fraction, allocation
-        )
-    return min(smallest_sigma(fn, delta_target, tol) for fn in fns.values())
+    kwargs = dict(
+        delta_e=delta_target * delta_e_fraction,
+        alpha_set=alpha_set,
+        bandwidth=bandwidth,
+        allocation=allocation,
+    )
+    methods = ("renyi", "condcomp") if method == "best" else (method,)
+    return min(
+        _calibrate(m, strategy, schedule, epsilon, delta_target, tol, **kwargs) for m in methods
+    )
+
+
+def _calibrate(method, strategy, schedule, epsilon, delta_target, tol, **kwargs) -> float:
+    """Smallest sigma whose one-epsilon profile meets delta_target."""
+    return smallest_sigma(
+        lambda sigma: profile(method, strategy, schedule, sigma, [epsilon], **kwargs)[0].delta,
+        delta_target,
+        tol,
+    )
 
 
 def calibrate_sigma_mc(
@@ -129,15 +127,9 @@ def calibrate_sigma_mc(
     Uses max over adjacency directions of the estimated divergence; each
     sigma probe reuses the seed, so results are reproducible.
     """
-    means = mixture_means(strategy, schedule)
-
-    def f(sigma):
-        return max(
-            mc.mc_delta(means, sigma, epsilon, d, n_samples, seed=seed).point_estimate
-            for d in (mc.REMOVE, mc.ADD)
-        )
-
-    return smallest_sigma(f, delta_target, tol)
+    return _calibrate(
+        "mc", strategy, schedule, epsilon, delta_target, tol, n_samples=n_samples, seed=seed
+    )
 
 
 def profile(
@@ -162,49 +154,67 @@ def profile(
     eps = [float(e) for e in epsilon_grid]
     if not eps or any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilon grid must be non-empty and strictly ascending")
-    means = mixture_means(strategy, schedule)
-    if np.all(means.means == 0.0):
+    if method == "best":
+        # Soundness policy: only the deterministic accountants take part.
+        rp = profile("renyi", strategy, schedule, sigma, eps, alpha_set=alpha_set, bandwidth=bandwidth)
+        cp = profile("condcomp", strategy, schedule, sigma, eps, delta_e=delta_e, allocation=allocation)
         return [
-            PrivacyPoint(e, max(0.0, -math.expm1(e)), method, "both") for e in eps
-        ]
-    points = []
-    if method == "renyi":
-        curve = renyi.renyi_curve(strategy, schedule, sigma, alpha_set, bandwidth)
-        for e in eps:
-            delta, alpha = renyi.curve_delta(curve, e)
-            idx = curve.alphas.index(alpha)
-            direction = (
-                "remove" if curve.rho_remove[idx] >= curve.rho_add[idx] else "add"
+            PrivacyPoint(
+                r.epsilon, min(r.delta, c.delta), method,
+                {"renyi": r.delta, "condcomp": c.delta}, alpha=r.alpha,
             )
-            points.append(PrivacyPoint(e, delta, method, direction))
+            for r, c in zip(rp, cp)
+        ]
+    means = mixture_means(strategy, schedule)
+    # The zero mechanism's pair is identical: the deterministic accountants
+    # read its delta exactly, after their inputs are validated; Monte Carlo
+    # samples it like any other.  Each readout maps epsilon to (delta per
+    # direction, alpha, MC estimate per direction).
+    zero = method != "mc" and not means.means.any()
+    bad_event = 0.0
+    if method == "renyi":
+        # One order is all the zero mechanism needs, and still validates.
+        curve = renyi.renyi_curve(
+            strategy, schedule, sigma, (min(alpha_set),) if zero else alpha_set, bandwidth
+        )
+
+        def readout(e):
+            alpha = renyi.curve_delta(curve, e)[1]
+            j = curve.alphas.index(alpha)
+            rhos = {pld.REMOVE: curve.rho_remove[j], pld.ADD: curve.rho_add[j]}
+            per = {d: renyi.renyi_to_delta(float(r), alpha, e) for d, r in rhos.items()}
+            return per, alpha, None
+
     elif method == "condcomp":
         composed = condcomp.cond_comp_pld(strategy, schedule, sigma, delta_e, allocation)
-        for e in eps:
-            per = {d: pld.delta_at(composed[d], e) for d in (pld.REMOVE, pld.ADD)}
-            direction = max(per, key=per.get)
-            points.append(
-                PrivacyPoint(e, min(1.0, per[direction] + delta_e), method, direction)
-            )
+        bad_event = delta_e
+
+        def readout(e):
+            return {d: pld.delta_at(composed[d], e) for d in composed}, None, None
+
     elif method == "mc":
         if seed is None:
             raise ValueError("Monte Carlo profiles require an explicit seed")
         samples = {
-            d: mc.mc_loss_samples(means, sigma, d, n_samples, seed)
-            for d in (mc.REMOVE, mc.ADD)
+            d: mc.mc_loss_samples(means, sigma, d, n_samples, seed) for d in (pld.REMOVE, pld.ADD)
         }
-        for e in eps:
-            per = {
-                d: mc.mc_delta_from_samples(samples[d], e, 0.95, seed).point_estimate
-                for d in samples
-            }
-            direction = max(per, key=per.get)
-            points.append(PrivacyPoint(e, per[direction], method, direction))
-    elif method == "best":
-        rp = profile("renyi", strategy, schedule, sigma, eps, alpha_set=alpha_set, bandwidth=bandwidth)
-        cp = profile("condcomp", strategy, schedule, sigma, eps, delta_e=delta_e, allocation=allocation)
-        for r, c in zip(rp, cp):
-            best = r if r.delta <= c.delta else c
-            points.append(PrivacyPoint(best.epsilon, best.delta, "best", best.method))
+
+        def readout(e):
+            est = {d: mc.mc_delta_from_samples(samples[d], e, 0.95, seed) for d in samples}
+            return {d: x.point_estimate for d, x in est.items()}, None, est
+
     else:
         raise ValueError(f"unknown method {method!r}")
+    points = []
+    for e in eps:
+        per, alpha, estimates = readout(e)
+        if zero:  # no privacy loss and no bad event
+            per, bad_event = dict.fromkeys(per, pld.identical_pair_delta(e)), 0.0
+        worst = max(per, key=per.get)
+        points.append(
+            PrivacyPoint(
+                e, min(1.0, per[worst] + bad_event), method, per, alpha,
+                estimates[worst] if estimates else None,
+            )
+        )
     return points

@@ -12,14 +12,13 @@ import json
 import sys
 
 from . import calibrate as cal
-from . import condcomp, mc, renyi
+from . import condcomp
 from .mechanism import (
     Schedule,
     StrategyMatrix,
     build_identity,
     inv_sqrt_toeplitz_coefficients,
     invert_banded_toeplitz,
-    mixture_means,
     read_matrix,
     sqrt_toeplitz_coefficients,
     write_matrix,
@@ -104,73 +103,51 @@ def _cmd_gen_matrix(args) -> int:
     return 0
 
 
-def _cmd_account(args) -> int:
+def _profile(args, epsilons):
+    """The privacy profile of the command's accountant at the given epsilons."""
     schedule = _load_schedule(args)
     strategy = _load_matrix(args, schedule)
+    if args.method == "mc" and args.seed is None:
+        raise UsageError("--method mc requires --seed for reproducibility")
+    return cal.profile(
+        args.method,
+        strategy,
+        schedule,
+        args.sigma,
+        epsilons,
+        delta_e=args.delta_e,
+        alpha_set=tuple(range(2, args.alpha_max + 1)),
+        bandwidth=args.bandwidth,
+        allocation=args.allocation,
+        n_samples=args.samples,
+        seed=args.seed,
+    )
+
+
+def _cmd_account(args) -> int:
+    point = _profile(args, [args.epsilon])[0]
     out = {
         "schema": SCHEMA_VERSION,
         "method": args.method,
         "epsilon": args.epsilon,
         "sigma": args.sigma,
+        "delta": point.delta,
+        "direction_breakdown": point.breakdown,
     }
-    alpha_set = tuple(range(2, args.alpha_max + 1))
-    if args.method == "renyi":
-        delta, alpha, curve = renyi.renyi_account(
-            strategy, schedule, args.sigma, args.epsilon,
-            alpha_set=alpha_set, bandwidth=args.bandwidth, return_curve=True,
-        )
-        j = curve.alphas.index(alpha)
-        out["delta"] = delta
-        out["alpha"] = alpha
-        out["direction_breakdown"] = {
-            "remove": renyi.renyi_to_delta(float(curve.rho_remove[j]), alpha, args.epsilon),
-            "add": renyi.renyi_to_delta(float(curve.rho_add[j]), alpha, args.epsilon),
-        }
-    elif args.method == "condcomp":
-        delta, per_direction = condcomp.cond_comp_account(
-            strategy, schedule, args.sigma, args.epsilon, args.delta_e,
-            allocation=args.allocation,
-        )
-        out["delta"] = delta
+    if point.alpha is not None:
+        out["alpha"] = point.alpha
+    if args.method in ("condcomp", "best"):
         out["delta_e"] = args.delta_e
+    if args.method == "condcomp":
         out["allocation"] = args.allocation
         if args.allocation == "global-max":
             out["allocation_note"] = "as-published"
-        out["direction_breakdown"] = per_direction
-    elif args.method == "mc":
-        if args.seed is None:
-            raise UsageError("--method mc requires --seed for reproducibility")
-        means = mixture_means(strategy, schedule)
-        estimates = {
-            d: mc.mc_delta(
-                means, args.sigma, args.epsilon, d, args.samples, seed=args.seed
-            )
-            for d in (mc.REMOVE, mc.ADD)
-        }
-        worst = max(estimates, key=lambda d: estimates[d].point_estimate)
-        est = estimates[worst]
-        out["delta"] = est.point_estimate
-        out["direction_breakdown"] = {
-            d: e.point_estimate for d, e in estimates.items()
-        }
+    if point.estimate is not None:
+        est = point.estimate
         out["ci"] = {"low": est.ci_low, "high": est.ci_high}
         out["hoeffding"] = {"low": est.hoeffding_low, "high": est.hoeffding_high}
         out["seed"] = args.seed
         out["samples"] = args.samples
-    elif args.method == "best":
-        # Soundness policy: only deterministic accountants participate.
-        delta_r, alpha = renyi.renyi_account(
-            strategy, schedule, args.sigma, args.epsilon,
-            alpha_set=alpha_set, bandwidth=args.bandwidth,
-        )
-        delta_c, _ = condcomp.cond_comp_account(
-            strategy, schedule, args.sigma, args.epsilon, args.delta_e,
-            allocation=args.allocation,
-        )
-        out["delta"] = min(delta_r, delta_c)
-        out["direction_breakdown"] = {"renyi": delta_r, "condcomp": delta_c}
-        out["alpha"] = alpha
-        out["delta_e"] = args.delta_e
     print(json.dumps(_json_ready(out)))
     return 0
 
@@ -207,24 +184,7 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def _cmd_profile(args) -> int:
-    schedule = _load_schedule(args)
-    strategy = _load_matrix(args, schedule)
-    eps = _parse_epsilons(args.epsilons)
-    if args.method == "mc" and args.seed is None:
-        raise UsageError("--method mc requires --seed for reproducibility")
-    points = cal.profile(
-        args.method,
-        strategy,
-        schedule,
-        args.sigma,
-        eps,
-        delta_e=args.delta_e,
-        alpha_set=tuple(range(2, args.alpha_max + 1)),
-        bandwidth=args.bandwidth,
-        allocation=args.allocation,
-        n_samples=args.samples,
-        seed=args.seed,
-    )
+    points = _profile(args, _parse_epsilons(args.epsilons))
     _write_csv(args.out, "epsilon,delta", [(p.epsilon, p.delta) for p in points])
     return 0
 

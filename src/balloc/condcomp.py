@@ -114,6 +114,12 @@ class AllocationPlan:
     delta_e: float
     strategy: str
 
+    def __post_init__(self):
+        if not 0.0 < self.delta_e < 1.0:
+            raise ValueError(f"delta_e must lie in (0, 1), got {self.delta_e}")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+
     def blocks(self) -> list[tuple[int, int, float]]:
         """(first step, last step, beta) per shared hazard vector, steps 1-based.
 
@@ -136,14 +142,6 @@ class AllocationPlan:
         return [(n, n, first) for n in range(1, b + 1)] + [
             (e * b + 1, (e + 1) * b, later) for e in range(1, k)
         ]
-
-
-def allocate(schedule: Schedule, delta_e: float, strategy: str = "hybrid") -> AllocationPlan:
-    if not 0.0 < delta_e < 1.0:
-        raise ValueError(f"delta_e must lie in (0, 1), got {delta_e}")
-    if strategy not in STRATEGIES:
-        raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    return AllocationPlan(schedule=schedule, delta_e=delta_e, strategy=strategy)
 
 
 def _mixture_lower_quantiles(nus: np.ndarray, log_w: np.ndarray, xi: np.ndarray, beta: float) -> np.ndarray:
@@ -332,13 +330,14 @@ def apply_sharing(hazards: np.ndarray, plan: AllocationPlan) -> np.ndarray:
 
 
 def _compose_steps(pairs, grid_spacing):
-    h = grid_spacing if grid_spacing is not None else pld.auto_spacing(pairs)
-    groups = Counter(pair.key() for pair in pairs)
-    by_key = {pair.key(): pair for pair in pairs}
-    composed = []
-    for key, count in groups.items():
-        composed.append(pld.compose_power(pld.discretize(by_key[key], h), count))
-    return pld.compose(composed)
+    keys = [pair.key() for pair in pairs]
+    counts = Counter(keys)
+    distinct = dict(zip(keys, pairs))
+    h = grid_spacing if grid_spacing is not None else pld.auto_spacing(distinct.values())
+    return pld.compose(
+        pld.compose_power(pld.discretize(distinct[key], h), count)
+        for key, count in counts.items()
+    )
 
 
 def cond_comp_pld(
@@ -350,8 +349,8 @@ def cond_comp_pld(
     grid_spacing: float | None = None,
 ) -> dict:
     """Composed per-direction privacy-loss distributions for the whole run."""
+    plan = AllocationPlan(schedule, delta_e, allocation)
     means = mixture_means(strategy, schedule)
-    plan = allocate(schedule, delta_e, allocation)
     out = {}
     for direction in (REMOVE, ADD):
         lam = apply_sharing(step_hazards(means, sigma, plan, direction), plan)
@@ -374,13 +373,16 @@ def cond_comp_account(
     allocation: str = "hybrid",
     grid_spacing: float | None = None,
 ) -> tuple[float, dict]:
-    """(delta, per-direction composed delta) at epsilon; delta adds delta_e."""
-    means = mixture_means(strategy, schedule)
-    if np.all(means.means == 0.0):
-        # Identical dominating pair: exactly zero privacy loss, no bad event.
-        return max(0.0, -math.expm1(epsilon)), {REMOVE: 0.0, ADD: 0.0}
+    """(delta, per-direction composed delta) at epsilon; delta adds delta_e.
+
+    The zero mechanism's pair is identical: no privacy loss and no bad event,
+    so its delta is the identical-pair one (after the inputs are validated).
+    """
     composed = cond_comp_pld(
         strategy, schedule, sigma, delta_e, allocation, grid_spacing=grid_spacing
     )
+    if not mixture_means(strategy, schedule).means.any():
+        delta = pld.identical_pair_delta(epsilon)
+        return delta, {REMOVE: delta, ADD: delta}
     per_direction = {d: pld.delta_at(composed[d], epsilon) for d in (REMOVE, ADD)}
     return min(1.0, max(per_direction.values()) + delta_e), per_direction

@@ -86,6 +86,8 @@ def mc_loss_samples(
     loss = log(dQ/dP)(x) = -log(dP/dQ)(x).  Reduced to the Gram inner
     products: under component i the projections <x, m_j> are N(G_i., sigma^2 G).
     """
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
     if direction not in (REMOVE, ADD):
         raise ValueError(f"direction must be 'remove' or 'add', got {direction!r}")
     if n_samples < 1000:

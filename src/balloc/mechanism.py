@@ -257,19 +257,11 @@ def gram_summary(
     strategy: StrategyMatrix,
     schedule: Schedule,
     sigma: float,
-    bandwidth: int | None = None,
+    bandwidth: int,
 ) -> GramSummary:
-    """Build the Gram summary the Renyi accountant consumes.
-
-    Default bandwidth is min(natural bandwidth of C, 8, b); the cap keeps the
-    dynamic program tractable at large Renyi orders while the tau correction
-    accounts for what the truncation discards.
-    """
+    """Build the Gram summary the Renyi accountant consumes, at one bandwidth."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    b = schedule.batches_per_epoch
-    if bandwidth is None:
-        bandwidth = min(strategy.bandwidth, 8, b)
     g = gram(mixture_means(strategy, schedule))
     banded, tau = cyclic_truncate(g, bandwidth)
     return GramSummary(

@@ -134,10 +134,15 @@ def _delta_grid(pair: MixGaussPair, epsilons: np.ndarray) -> np.ndarray:
     return np.clip(first - second, 0.0, 1.0)
 
 
+def identical_pair_delta(epsilon: float) -> float:
+    """Hockey-stick divergence of any distribution against itself at e^epsilon."""
+    return max(0.0, -math.expm1(epsilon))
+
+
 def hockey_stick(pair: MixGaussPair, epsilon: float) -> float:
     """Exact hockey-stick divergence of the pair at e^epsilon."""
     if pair.degenerate:
-        return max(0.0, -math.expm1(epsilon))
+        return identical_pair_delta(epsilon)
     return float(_delta_grid(pair, np.array([epsilon]))[0])
 
 
@@ -164,6 +169,11 @@ def _loss_quantile(pair: MixGaussPair, q: float) -> float:
         if hi - lo < 1e-12 * sigma:
             break
     return float(_mix_loss(pair, np.array([hi]))[0])
+
+
+def _loss_range(pair: MixGaussPair) -> tuple[float, float]:
+    """Losses kept on the grid: TAIL_MASS quantiles, floored at LOSS_FLOOR."""
+    return max(LOSS_FLOOR, _loss_quantile(pair, TAIL_MASS)), _loss_quantile(pair, 1.0 - TAIL_MASS)
 
 
 @dataclass(frozen=True)
@@ -195,20 +205,15 @@ def point_mass_pld(h: float) -> DiscretePLD:
     return DiscretePLD(h=h, lo_index=0, pmf=_freeze(np.array([1.0])), infinity_mass=0.0)
 
 
-def discretize(
-    pair: MixGaussPair,
-    h: float,
-    loss_floor: float = LOSS_FLOOR,
-    tail_mass: float = TAIL_MASS,
-) -> DiscretePLD:
+def discretize(pair: MixGaussPair, h: float) -> DiscretePLD:
     """Pessimistic quantization of the pair's privacy-loss distribution.
 
     Connect-the-dots construction: the discrete distribution on the grid
     reproduces the exact delta(epsilon) at every grid point, and between grid
     points its delta is the chord in e^epsilon, which lies above the exact
-    (convex) curve.  Mass below the first grid point (at most tail_mass plus
-    whatever lies under loss_floor) is folded up into it and the upper tail
-    beyond the (1 - tail_mass) quantile becomes infinity_mass, both of which
+    (convex) curve.  Mass below the first grid point (at most TAIL_MASS plus
+    whatever lies under LOSS_FLOOR) is folded up into it and the upper tail
+    beyond the (1 - TAIL_MASS) quantile becomes infinity_mass, both of which
     only raise delta.  The induced delta therefore upper-bounds
     hockey_stick(pair, epsilon) everywhere.
     """
@@ -216,8 +221,7 @@ def discretize(
         raise ValueError(f"grid spacing must be positive, got {h}")
     if pair.degenerate:
         return point_mass_pld(h)
-    x_hi = _loss_quantile(pair, 1.0 - tail_mass)
-    x_lo = max(loss_floor, _loss_quantile(pair, tail_mass))
+    x_lo, x_hi = _loss_range(pair)
     j_lo = math.ceil(x_lo / h - 1e-9)
     j_hi = max(math.ceil(x_hi / h), j_lo + 1)
     grid = np.arange(j_lo, j_hi + 1) * h
@@ -237,23 +241,17 @@ def discretize(
     return DiscretePLD(h=h, lo_index=j_lo, pmf=_freeze(pmf), infinity_mass=infinity_mass)
 
 
-def auto_spacing(
-    pairs,
-    loss_floor: float = LOSS_FLOOR,
-    tail_mass: float = TAIL_MASS,
-    grid_points: int = GRID_POINTS,
-) -> float:
-    """Grid spacing so the widest pair needs about `grid_points` points."""
+def auto_spacing(pairs) -> float:
+    """Grid spacing so the widest pair needs about GRID_POINTS points."""
     span = 0.0
     for pair in pairs:
         if pair.degenerate:
             continue
-        hi = _loss_quantile(pair, 1.0 - tail_mass)
-        lo = max(loss_floor, _loss_quantile(pair, tail_mass))
+        lo, hi = _loss_range(pair)
         span = max(span, hi - lo)
     if span <= 0.0:
         return 1e-4
-    return span / (grid_points - 1)
+    return span / (GRID_POINTS - 1)
 
 
 def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

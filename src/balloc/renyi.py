@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .mechanism import GramSummary, Schedule, StrategyMatrix
-from .mechanism import gram_summary, mixture_means
+from .mechanism import gram_summary
 
 BRUTEFORCE_TUPLE_LIMIT = 10**7
 _COMPOSITION_LIMIT = 2 * 10**7
@@ -57,7 +57,11 @@ def _check_alpha(alpha) -> int:
 
 
 def _check_bandwidth(strategy: StrategyMatrix, schedule: Schedule, bandwidth) -> int:
-    """The requested band cap, or the default min(natural bandwidth, 8, b)."""
+    """The requested band cap, or the default min(natural bandwidth, 8, b).
+
+    The cap of 8 keeps the dynamic program tractable at large orders while the
+    tau correction accounts for what the truncation discards.
+    """
     b = schedule.batches_per_epoch
     if bandwidth is None:
         return min(strategy.bandwidth, 8, b)
@@ -369,21 +373,14 @@ def renyi_account(
     epsilon: float,
     alpha_set=DEFAULT_ALPHAS,
     bandwidth: int | None = None,
-    return_curve: bool = False,
-):
-    """delta at epsilon via max(remove, add) divergence, optimized over orders.
+) -> tuple[float, int]:
+    """(delta, alpha) at epsilon via max(remove, add) divergence, optimized over orders.
 
-    Returns (delta, alpha), or (delta, alpha, curve) with return_curve, where
-    the curve holds the winning order's per-direction divergences.
+    The one-epsilon readout of `calibrate.profile`, zero-mechanism rule included.
     """
-    bandwidth = _check_bandwidth(strategy, schedule, bandwidth)
-    if np.all(mixture_means(strategy, schedule).means == 0.0):
-        # Identical dominating pair (zero mechanism): delta is exactly 0.
-        delta, alpha = max(0.0, -math.expm1(epsilon)), min(alpha_set)
-        if not return_curve:
-            return delta, alpha
-        curve = renyi_curve(strategy, schedule, sigma, (alpha,), bandwidth)
-    else:
-        curve = renyi_curve(strategy, schedule, sigma, alpha_set, bandwidth)
-        delta, alpha = curve_delta(curve, epsilon)
-    return (delta, alpha, curve) if return_curve else (delta, alpha)
+    from .calibrate import profile
+
+    point = profile(
+        "renyi", strategy, schedule, sigma, [epsilon], alpha_set=alpha_set, bandwidth=bandwidth
+    )[0]
+    return point.delta, point.alpha

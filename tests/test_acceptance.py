@@ -14,7 +14,7 @@ from scipy.stats import norm
 
 from balloc.calibrate import calibrate_sigma
 from balloc.condcomp import (
-    allocate,
+    AllocationPlan,
     cond_comp_pld,
     step_hazards,
     tail_bound_add,
@@ -282,7 +282,7 @@ def test_criterion_9_epoch_jumps():
     try:
         sched = Schedule(4, 100)
         means = mixture_means(build_identity(400), sched)
-        plan = allocate(sched, 0.5e-5, "union")
+        plan = AllocationPlan(sched, 0.5e-5, "union")
         lam_b = step_hazards(means, 5.0, plan, REMOVE)[:, -1]
         diffs = np.abs(np.diff(lam_b))
         boundary = [diffs[99], diffs[199], diffs[299]]

@@ -9,7 +9,14 @@ from balloc.calibrate import (
     profile,
     smallest_sigma,
 )
-from balloc.mechanism import Schedule, StrategyMatrix, build_identity
+from balloc.condcomp import cond_comp_account
+from balloc.mc import MCEstimate
+from balloc.mechanism import (
+    Schedule,
+    StrategyMatrix,
+    build_identity,
+    sqrt_toeplitz_coefficients,
+)
 from balloc.renyi import renyi_account
 
 from oracles import gaussian_profile_delta, gaussian_profile_sigma
@@ -84,6 +91,70 @@ def test_mc_reference_calibration_single_gaussian():
     assert sigma == again
 
 
+def test_mc_reference_calibration_is_pinned():
+    # sigma of the Monte Carlo reference for fixed seeds, as computed before
+    # calibration probed the one-epsilon mc profile
+    sigma = calibrate_sigma_mc(
+        build_identity(4), Schedule(2, 2), 1.0, 1e-3, n_samples=10**4, seed=5
+    )
+    assert sigma == pytest.approx(2.670282146407812, rel=1e-12)
+    bsr = StrategyMatrix.from_toeplitz(sqrt_toeplitz_coefficients(3), size=8)
+    sigma = calibrate_sigma_mc(bsr, Schedule(2, 4), 2.0, 1e-3, n_samples=4000, seed=11, tol=1e-4)
+    assert sigma == pytest.approx(1.7761277483598343, rel=1e-12)
+
+
+def test_calibration_probes_the_one_epsilon_profile():
+    strategy, sched = build_identity(6), Schedule(2, 3)
+    for method, kwargs in [("renyi", {}), ("condcomp", {"delta_e": 0.5e-5})]:
+        sigma = calibrate_sigma(method, strategy, sched, 1.0, 1e-5, tol=1e-3)
+        assert profile(method, strategy, sched, sigma, [1.0], **kwargs)[0].delta <= 1e-5
+        below = sigma * (1 - 2e-3)
+        assert profile(method, strategy, sched, below, [1.0], **kwargs)[0].delta > 1e-5
+
+
+def test_profile_point_records():
+    strategy = StrategyMatrix.from_toeplitz(sqrt_toeplitz_coefficients(3), size=8)
+    sched = Schedule(2, 4)
+    grid = [0.5, 2.0]
+    r = profile("renyi", strategy, sched, 1.5, grid, alpha_set=range(2, 13))
+    c = profile("condcomp", strategy, sched, 1.5, grid, delta_e=1e-7)
+    b = profile("best", strategy, sched, 1.5, grid, alpha_set=range(2, 13), delta_e=1e-7)
+    m = profile("mc", strategy, sched, 1.5, grid, n_samples=5000, seed=3)
+    for j, e in enumerate(grid):
+        delta, alpha = renyi_account(strategy, sched, 1.5, e, alpha_set=range(2, 13))
+        assert (r[j].delta, r[j].alpha) == (delta, alpha)
+        assert max(r[j].breakdown.values()) == delta
+        delta, per_direction = cond_comp_account(strategy, sched, 1.5, e, 1e-7)
+        assert (c[j].delta, c[j].breakdown, c[j].alpha) == (delta, per_direction, None)
+        assert b[j].breakdown == {"renyi": r[j].delta, "condcomp": c[j].delta}
+        assert (b[j].delta, b[j].alpha, b[j].method) == (min(r[j].delta, c[j].delta), r[j].alpha, "best")
+        assert set(m[j].breakdown) == {"remove", "add"}
+        assert isinstance(m[j].estimate, MCEstimate)
+        assert m[j].delta == m[j].estimate.point_estimate == max(m[j].breakdown.values())
+        assert r[j].estimate is c[j].estimate is b[j].estimate is None
+
+
+@pytest.mark.parametrize("kind", ["zero", "identity"])
+@pytest.mark.parametrize("call", [
+    lambda m, s: renyi_account(m, s, -1.0, 1.0),
+    lambda m, s: renyi_account(m, s, 1.0, 1.0, bandwidth=3),
+    lambda m, s: cond_comp_account(m, s, -1.0, 1.0, 1e-6),
+    lambda m, s: cond_comp_account(m, s, 1.0, 1.0, 5.0),
+    lambda m, s: cond_comp_account(m, s, 1.0, 1.0, 1e-6, allocation="bogus"),
+    lambda m, s: profile("renyi", m, s, 1.0, [1.0], bandwidth=0),
+    lambda m, s: profile("condcomp", m, s, 1.0, [1.0], delta_e=5.0),
+    lambda m, s: profile("best", m, s, -1.0, [1.0]),
+    lambda m, s: profile("mc", m, s, -1.0, [1.0], n_samples=1000, seed=1),
+], ids=[
+    "renyi-sigma", "renyi-bandwidth", "condcomp-sigma", "condcomp-delta_e",
+    "condcomp-allocation", "profile-bandwidth", "profile-delta_e", "best-sigma", "mc-sigma",
+])
+def test_zero_mechanism_validates_before_its_shortcut(kind, call):
+    strategy = StrategyMatrix.from_dense(np.zeros((4, 4))) if kind == "zero" else build_identity(4)
+    with pytest.raises(ValueError):
+        call(strategy, Schedule(2, 2))
+
+
 def test_profile_monotone_and_methods():
     strategy = build_identity(6)
     sched = Schedule(2, 3)
@@ -105,6 +176,13 @@ def test_profile_zero_mechanism():
     zero = StrategyMatrix.from_dense(np.zeros((4, 4)))
     points = profile("renyi", zero, Schedule(2, 2), 1.0, [0.0, 1.0, 2.0])
     assert [p.delta for p in points] == [0.0, 0.0, 0.0]
+    for method in ("renyi", "condcomp"):
+        points = profile(method, zero, Schedule(2, 2), 1.0, [-1.0, 1.0], delta_e=1e-3)
+        identical = -np.expm1(-1.0)  # no bad event is charged
+        assert [p.delta for p in points] == [identical, 0.0]
+        assert [p.breakdown for p in points] == [
+            {"remove": identical, "add": identical}, {"remove": 0.0, "add": 0.0}
+        ]
 
 
 def test_profile_requires_ascending_grid():

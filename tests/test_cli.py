@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from balloc.calibrate import profile
 from balloc.cli import main
 from balloc.mechanism import (
     Schedule,
@@ -95,17 +96,19 @@ def test_account_renyi_breakdown_is_the_winning_curve_entry(tmp_path, capsys, ki
     assert code == 0
     payload = json.loads(out)
     alpha = payload["alpha"]
+    if kind == "zero":
+        # identical pair: every direction reads the delta, at the first order
+        assert (payload["delta"], alpha) == (0.0, 2)
+        assert payload["direction_breakdown"] == {"remove": 0.0, "add": 0.0}
+        return
     curve = renyi_curve(strategy, Schedule(2, 4), 2.0, (alpha,))
     expected = {
         "remove": renyi_to_delta(float(curve.rho_remove[0]), alpha, 2.0),
         "add": renyi_to_delta(float(curve.rho_add[0]), alpha, 2.0),
     }
     assert payload["direction_breakdown"] == pytest.approx(expected, rel=1e-11)
-    if kind == "zero":
-        assert (payload["delta"], alpha) == (0.0, 2)
-    else:
-        assert alpha == 6  # an interior order, not the first curve entry
-        assert payload["delta"] == pytest.approx(max(expected.values()), rel=1e-11)
+    assert alpha == 6  # an interior order, not the first curve entry
+    assert payload["delta"] == pytest.approx(max(expected.values()), rel=1e-11)
 
 
 def test_account_mc_contract(identity4, capsys):
@@ -130,6 +133,70 @@ def test_account_best_excludes_mc(identity4, capsys):
     payload = json.loads(out)
     assert set(payload["direction_breakdown"]) == {"renyi", "condcomp"}
     assert payload["delta"] == min(payload["direction_breakdown"].values())
+
+
+def _twelve_digits(value):
+    """A float as `account` prints it (12 significant digits)."""
+    return float(f"{value:.12g}")
+
+
+@pytest.mark.parametrize("method, flags, kwargs", [
+    ("renyi", ["--alpha-max", "12"], {"alpha_set": tuple(range(2, 13))}),
+    ("condcomp", ["--delta-e", "1e-7"], {"delta_e": 1e-7}),
+    ("best", ["--alpha-max", "12", "--delta-e", "1e-7"],
+     {"alpha_set": tuple(range(2, 13)), "delta_e": 1e-7}),
+    ("mc", ["--seed", "6", "--samples", "5000"], {"seed": 6, "n_samples": 5000}),
+])
+def test_account_is_a_one_epsilon_profile(tmp_path, capsys, method, flags, kwargs):
+    strategy = StrategyMatrix.from_toeplitz(sqrt_toeplitz_coefficients(3), size=8)
+    path = tmp_path / "bsr.txt"
+    write_matrix(strategy, path)
+    code, out = run_and_capture(
+        capsys,
+        ["account", "--matrix", str(path), "--epochs", "2", "--batches", "4",
+         "--sigma", "1.5", "--epsilon", "2", "--method", method, *flags],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    point = profile(method, strategy, Schedule(2, 4), 1.5, [2.0], **kwargs)[0]
+    assert payload["delta"] == _twelve_digits(point.delta)
+    assert payload["direction_breakdown"] == {
+        k: _twelve_digits(v) for k, v in point.breakdown.items()
+    }
+    assert payload.get("alpha") == point.alpha
+    assert (point.alpha is not None) == (method in ("renyi", "best"))
+    if method == "mc":
+        est = point.estimate
+        assert payload["ci"] == {"low": _twelve_digits(est.ci_low), "high": _twelve_digits(est.ci_high)}
+        assert payload["hoeffding"] == {
+            "low": _twelve_digits(est.hoeffding_low), "high": _twelve_digits(est.hoeffding_high)
+        }
+        assert est.point_estimate == point.delta == max(point.breakdown.values())
+    else:
+        assert point.estimate is None and "ci" not in payload
+
+
+@pytest.mark.parametrize("kind", ["zero", "identity"])
+@pytest.mark.parametrize("argv", [
+    ["profile", "--method", "renyi", "--sigma", "1", "--epsilons", "0.5,1", "--bandwidth", "0"],
+    ["profile", "--method", "renyi", "--sigma", "-1", "--epsilons", "0.5,1"],
+    ["profile", "--method", "condcomp", "--sigma", "-1", "--epsilons", "0.5,1"],
+    ["profile", "--method", "condcomp", "--sigma", "1", "--epsilons", "0.5,1", "--delta-e", "5"],
+    ["profile", "--method", "best", "--sigma", "1", "--epsilons", "0.5,1", "--delta-e", "5"],
+    ["account", "--method", "condcomp", "--sigma", "-1", "--epsilon", "1", "--delta-e", "5"],
+    ["account", "--method", "renyi", "--sigma", "-1", "--epsilon", "1"],
+    ["account", "--method", "best", "--sigma", "1", "--epsilon", "1", "--bandwidth", "0"],
+    ["account", "--method", "mc", "--sigma", "-1", "--epsilon", "1", "--seed", "1",
+     "--samples", "1000"],
+])
+def test_zero_mechanism_is_validated_like_any_other(tmp_path, kind, argv):
+    # the zero mechanism's identical-pair shortcut runs after validation, so
+    # bad inputs are usage errors whatever the matrix
+    n = 4
+    strategy = StrategyMatrix.from_dense(np.zeros((n, n))) if kind == "zero" else build_identity(n)
+    path = tmp_path / "m.txt"
+    write_matrix(strategy, path)
+    assert main(argv + ["--matrix", str(path), "--epochs", "2", "--batches", "2"]) == 2
 
 
 def test_account_size_mismatch_is_usage_error(identity4):

@@ -13,10 +13,10 @@ from scipy.stats import norm
 import balloc
 from balloc import condcomp
 from balloc.condcomp import (
+    AllocationPlan,
     DEFAULT_FAMILY,
     STRATEGIES,
     VariationalFamily,
-    allocate,
     apply_sharing,
     cond_comp_account,
     hazard_from_tail,
@@ -262,39 +262,58 @@ def test_allocate_strategies_and_ledger():
     for k in (1, 4):
         sched = Schedule(k, 100)
         for strategy in STRATEGIES:
-            blocks = allocate(sched, delta_e, strategy).blocks()
+            blocks = AllocationPlan(sched, delta_e, strategy).blocks()
             assert _covered_steps(blocks) == list(range(1, sched.iterations + 1))
             spent = sum(99 * beta for _, _, beta in blocks)
             assert spent == pytest.approx(delta_e, rel=1e-12)
     sched = Schedule(4, 100)
-    hybrid = allocate(sched, delta_e, "hybrid").blocks()
+    hybrid = AllocationPlan(sched, delta_e, "hybrid").blocks()
     assert hybrid[4] == (5, 5, delta_e / (400 * 99))
     assert hybrid[-1] == (301, 400, delta_e / (4 * 99))
     assert hybrid[100] == (101, 200, delta_e / (4 * 99))
-    union = allocate(sched, delta_e, "union").blocks()
+    union = AllocationPlan(sched, delta_e, "union").blocks()
     assert union[149] == (150, 150, delta_e / (400 * 99))
-    assert allocate(sched, delta_e, "global-max").blocks() == [(1, 400, delta_e / 99)]
-    with pytest.raises(ValueError):
-        allocate(sched, 0.0, "union")
-    with pytest.raises(ValueError):
-        allocate(sched, 1e-5, "bogus")
+    assert AllocationPlan(sched, delta_e, "global-max").blocks() == [(1, 400, delta_e / 99)]
+    # the plan validates itself: no budget above 1, no unknown strategy
+    for bad_delta_e, bad_strategy in [(0.0, "union"), (1.5, "union"), (1e-5, "unoin")]:
+        with pytest.raises(ValueError):
+            AllocationPlan(sched, bad_delta_e, bad_strategy)
+
+
+def test_compose_steps_brackets_each_distinct_pair_once(monkeypatch):
+    # DP-SGD over 3 epochs of 4 batches: 12 steps per direction, fewer distinct pairs
+    seen = []
+    spacing = condcomp.pld.auto_spacing
+
+    def recording(pairs):
+        pairs = list(pairs)
+        seen.append(pairs)
+        return spacing(pairs)
+
+    monkeypatch.setattr(condcomp.pld, "auto_spacing", recording)
+    sched = Schedule(3, 4)
+    condcomp.cond_comp_pld(build_identity(12), sched, 2.0, 1e-6)
+    assert len(seen) == 2
+    for pairs in seen:
+        keys = [pair.key() for pair in pairs]
+        assert len(set(keys)) == len(keys) < sched.iterations
 
 
 def test_hybrid_equals_union_for_single_epoch():
     sched = Schedule(1, 10)
-    hybrid = allocate(sched, 1e-5, "hybrid")
-    union = allocate(sched, 1e-5, "union")
+    hybrid = AllocationPlan(sched, 1e-5, "hybrid")
+    union = AllocationPlan(sched, 1e-5, "union")
     assert hybrid.blocks() == union.blocks()
 
 
 def test_allocate_b_equals_one():
     for strategy in STRATEGIES:
-        assert allocate(Schedule(4, 1), 1e-5, strategy).blocks() == []
+        assert AllocationPlan(Schedule(4, 1), 1e-5, strategy).blocks() == []
 
 
 def test_apply_sharing_blocks():
     sched = Schedule(2, 3)
-    plan = allocate(sched, 1e-5, "hybrid")
+    plan = AllocationPlan(sched, 1e-5, "hybrid")
     hazards = np.arange(18, dtype=float).reshape(6, 3) + 1.0
     hazards /= hazards.max()
     shared = apply_sharing(hazards, plan)
@@ -305,7 +324,7 @@ def test_apply_sharing_blocks():
 def test_step_pair_first_step_is_uniform():
     # an empty prefix leaves nothing to tell the components apart
     means = mixture_means(build_identity(4), Schedule(1, 4))
-    plan = allocate(Schedule(1, 4), 1e-5, "union")
+    plan = AllocationPlan(Schedule(1, 4), 1e-5, "union")
     for direction in (REMOVE, ADD):
         lam = step_hazards(means, 1.0, plan, direction)[0]
         assert lam == pytest.approx([1.0, 0.5, 1 / 3, 0.25])
@@ -316,7 +335,7 @@ def test_step_pair_first_step_is_uniform():
 
 def test_step_pair_b_equals_one():
     means = mixture_means(build_identity(3), Schedule(3, 1))
-    plan = allocate(Schedule(3, 1), 1e-5, "hybrid")
+    plan = AllocationPlan(Schedule(3, 1), 1e-5, "hybrid")
     lam = step_hazards(means, 1.5, plan, REMOVE)
     assert lam.shape == (3, 1)
     assert reverse_hazard_weights(lam[1]) == pytest.approx([1.0])
@@ -331,7 +350,7 @@ def test_step_hazards_match_single_step_builder():
     for strategy, sched in cases:
         means = mixture_means(strategy, sched)
         for allocation in STRATEGIES:
-            plan = allocate(sched, 1e-4, allocation)
+            plan = AllocationPlan(sched, 1e-4, allocation)
             for direction in (REMOVE, ADD):
                 lam = step_hazards(means, 1.0, plan, direction)
                 for n in range(1, sched.iterations + 1):
@@ -365,6 +384,11 @@ def test_cond_comp_zero_mechanism():
     assert cond_comp_account(zero, Schedule(2, 2), 1.0, 0.5, 1e-6) == (
         0.0, {REMOVE: 0.0, ADD: 0.0}
     )
+    # Below epsilon = 0 even an identical pair has delta = 1 - e^epsilon, in each direction.
+    delta = -math.expm1(-1.0)
+    assert cond_comp_account(zero, Schedule(2, 2), 1.0, -1.0, 1e-6) == (
+        delta, {REMOVE: delta, ADD: delta}
+    )
 
 
 def test_cond_comp_details_directions():
@@ -388,6 +412,6 @@ def test_hazard_trace_script_smoke():
     assert all(float(v) == 0.25 for v in rows[0][1:])
     sched = Schedule(2, 4)
     lam = step_hazards(
-        mixture_means(build_identity(8), sched), 5.0, allocate(sched, 0.5e-5, "union"), REMOVE
+        mixture_means(build_identity(8), sched), 5.0, AllocationPlan(sched, 0.5e-5, "union"), REMOVE
     )[:, -1]
     assert [r[1] for r in rows] == [f"{v:.12g}" for v in lam]

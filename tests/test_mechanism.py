@@ -17,6 +17,7 @@ from balloc.mechanism import (
     sqrt_toeplitz_coefficients,
     write_matrix,
 )
+from balloc.renyi import _check_bandwidth
 
 
 def test_schedule_validation():
@@ -205,13 +206,18 @@ def test_toeplitz_and_dense_forms_agree(b, k, w, seed):
 
 
 def test_gram_summary_defaults():
-    s = gram_summary(build_identity(6), Schedule(2, 3), sigma=1.5)
+    # the default band cap, min(natural bandwidth, 8, b), is the Renyi
+    # accountant's; gram_summary takes the bandwidth it is given
+    identity, sched = build_identity(6), Schedule(2, 3)
+    s = gram_summary(identity, sched, 1.5, _check_bandwidth(identity, sched, None))
     assert s.bandwidth == 1
     assert s.sigma == 1.5
     assert s.tau == 0.0
     bsr = StrategyMatrix.from_toeplitz(sqrt_toeplitz_coefficients(12), size=24)
-    s2 = gram_summary(bsr, Schedule(2, 12), sigma=1.0)
+    s2 = gram_summary(bsr, Schedule(2, 12), 1.0, _check_bandwidth(bsr, Schedule(2, 12), None))
     assert s2.bandwidth == 8  # capped default
+    bsr12 = StrategyMatrix.from_toeplitz(sqrt_toeplitz_coefficients(12), size=12)
+    assert _check_bandwidth(bsr12, Schedule(2, 6), None) == 6  # b caps it too
 
 
 def test_matrix_file_round_trip(tmp_path):

@@ -204,7 +204,7 @@ def test_delta_curve_convex_in_exp_eps(seed, eps):
 
 def test_auto_spacing_targets_support():
     pairs = [MixGaussPair([1.0], [1.0], 1.0, REMOVE)]
-    h = auto_spacing(pairs, grid_points=1000)
+    h = auto_spacing(pairs)
     pld = discretize(pairs[0], h)
     assert 998 <= pld.pmf.size <= 1002
 
