@@ -84,10 +84,12 @@ def calibrate_sigma(
     condcomp spends delta_e_fraction of the target on the bad-event budget and
     the rest on the composed profile; `best` takes the minimum over methods.
     """
+    if not math.isfinite(epsilon):
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
     if not 0.0 < delta_target < 1.0:
         raise ValueError(f"delta_target must lie in (0, 1), got {delta_target}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if not 0.0 < delta_e_fraction < 1.0:
         raise ValueError(f"delta_e_fraction must lie in (0, 1), got {delta_e_fraction}")
     if method not in METHODS:
@@ -152,8 +154,12 @@ def profile(
     and every grid point is a cheap readout, so the output is exactly monotone.
     """
     eps = [float(e) for e in epsilon_grid]
+    if not all(math.isfinite(e) for e in eps):
+        raise ValueError(f"epsilon grid must be finite, got {eps}")
     if not eps or any(b <= a for a, b in zip(eps, eps[1:])):
         raise ValueError("epsilon grid must be non-empty and strictly ascending")
+    if not math.isfinite(sigma):
+        raise ValueError(f"sigma must be finite, got {sigma}")
     if method == "best":
         # Soundness policy: only the deterministic accountants take part.
         rp = profile("renyi", strategy, schedule, sigma, eps, alpha_set=alpha_set, bandwidth=bandwidth)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import calibrate as cal
@@ -50,6 +51,8 @@ def _parse_epsilons(text: str) -> list[float]:
         eps = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise UsageError(f"bad epsilon grid {text!r}") from exc
+    if not all(math.isfinite(e) for e in eps):
+        raise UsageError(f"epsilon grid must be finite, got {text!r}")
     if not eps or any(b <= a for a, b in zip(eps, eps[1:])):
         raise UsageError("epsilon grid must be non-empty and strictly ascending")
     return eps
@@ -138,7 +141,6 @@ def _cmd_account(args) -> int:
         out["alpha"] = point.alpha
     if args.method in ("condcomp", "best"):
         out["delta_e"] = args.delta_e
-    if args.method == "condcomp":
         out["allocation"] = args.allocation
         if args.allocation == "global-max":
             out["allocation_note"] = "as-published"

@@ -10,7 +10,15 @@ Tail bounds use variational (ELBO) lower bounds on the mixture loss, which are
 Gaussian (or mixtures of Gaussians) with closed-form parameters.
 
 `step_hazards` is the one hazard engine: it walks the steps once, keeping the
-prefix Gram matrix up to date, and bounds every component rank of every step.
+prefix Gram matrix up to date, and bounds every component rank of every step,
+batched over chunks of steps whose (step, rank, member, group) tensor fits a
+constant budget of _HAZARD_CHUNK_ELEMENTS.  Per chunk, `_prepare_tails`
+builds the sigma-free part of every problem at once (sorted prefix Grams,
+variational members, KL and quadratic forms, reference rows merged into
+groups of identical rows) and `_tail_bounds` evaluates it at sigma: closed
+form for the add direction, one vectorized bisection over every remove
+column, each returning its pessimistic (lower) end.
+
 The delta_E failure budget is split by `AllocationPlan.blocks`, one table of
 (first step, last step, significance) per shared hazard vector for the chosen
 strategy; `apply_sharing` takes the componentwise max within each block, and
@@ -24,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_ndtr, ndtri, softmax
+from scipy.special import expit, log_ndtr, ndtri, xlogy
 
 from .mechanism import MixtureMeans, Schedule, StrategyMatrix, mixture_means
 from . import pld
@@ -36,6 +44,8 @@ DEFAULT_TEMPERATURES = (math.inf, 0.1, 10.0**-0.5, 1.0, 10.0**0.5, 10.0)
 
 STRATEGIES = ("union", "global-max", "hybrid")
 _HAZARD_FLOOR = 1e-300
+# Elements of the (step, rank, member, group) tensor bounded per chunk of steps.
+_HAZARD_CHUNK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -57,20 +67,34 @@ class VariationalFamily:
 
     temperatures: tuple = DEFAULT_TEMPERATURES
 
-    def members(self, sq_dists: np.ndarray) -> np.ndarray:
-        """Rows are distributions over the candidates; empty if all identical."""
-        sq_dists = np.asarray(sq_dists, dtype=float)
-        mask = sq_dists > IDENTICAL_SQ_TOL
-        if not mask.any():
-            return np.zeros((0, sq_dists.size))
-        rows = [np.full(sq_dists.size, 1.0 / sq_dists.size)]
+    def __len__(self) -> int:
+        return len(self.temperatures) + 1
+
+    def members(self, sq_dists, candidates=None) -> np.ndarray:
+        """Member distributions, shape (..., len(self), n), the prior first.
+
+        sq_dists (..., n) holds each column's squared distance to the excluded
+        component; candidates (broadcast against it, default all) marks the
+        columns that are candidates, and the rest get weight zero.  Where no
+        candidate is distinct from the excluded component, only the prior is
+        a distribution and the other rows are zero: that loss is identically
+        zero, and callers bound it by 0 without the family.
+        """
+        sq = np.asarray(sq_dists, dtype=float)
+        cand = np.broadcast_to(True if candidates is None else candidates, sq.shape)
+        distinct = cand & (sq > IDENTICAL_SQ_TOL)
+        n_distinct = distinct.sum(axis=-1, keepdims=True)
+        rows = [np.where(cand, 1.0 / cand.sum(axis=-1, keepdims=True), 0.0)]
         for t in self.temperatures:
             if math.isinf(t):
-                rows.append(mask / mask.sum())
+                rows.append(np.where(distinct, 1.0 / np.maximum(n_distinct, 1), 0.0))
             else:
-                logits = np.where(mask, -sq_dists / t, -np.inf)
-                rows.append(softmax(logits))
-        return np.array(rows)
+                logits = np.where(distinct, -sq / t, -np.inf)
+                top = np.where(n_distinct > 0, logits.max(axis=-1, keepdims=True), 0.0)
+                shifted = np.exp(logits - top)
+                total = np.maximum(shifted.sum(axis=-1, keepdims=True), np.finfo(float).tiny)
+                rows.append(shifted / total)
+        return np.stack(rows, axis=-2)
 
 
 DEFAULT_FAMILY = VariationalFamily()
@@ -144,49 +168,104 @@ class AllocationPlan:
         ]
 
 
-def _mixture_lower_quantiles(nus: np.ndarray, log_w: np.ndarray, xi: np.ndarray, beta: float) -> np.ndarray:
-    """Largest tau per column with sum_k w_k Phi((tau - nu_k)/xi) <= beta.
+@dataclass(frozen=True)
+class _TailProblems:
+    """The sigma-free part of a batch of tail-bound problems, leading axes (S, R).
 
-    nus: (K, P) component means, log_w: (K,) log weights, xi: (P,) shared
-    standard deviations (all positive).  Bisection to 1e-12 absolute in tau,
-    returning the lower end (pessimistic).
+    Problem (s, r) excludes row e = excluded[r] of Gram grams[s]; rows before
+    it are the candidates.  Its reference measure is N(0, sigma^2 I) (add:
+    nu and log_w are None) or the uniform mixture over rows ref_start[r] and
+    up (remove), whose identical whole Gram rows are merged into G groups.
+    Per variational member psi: kl; a = h_ee - psi.diag; q = h_ee -
+    2 psi.h_e + psi'H psi; and per group g, nu = h_g.psi - h_ge.  log_w is
+    each group's log weight per rank, -inf where the group is empty there.
     """
-    log_beta = math.log(beta)
-    if nus.shape[0] == 1:
-        # Single component: invert the Gaussian CDF directly.
-        return nus[0] + xi * ndtri(math.exp(log_beta - log_w[0]))
+
+    distinct: np.ndarray  # (S, R): some candidate differs from the excluded row
+    kl: np.ndarray  # (S, R, P)
+    a: np.ndarray  # (S, R, P)
+    q: np.ndarray  # (S, R, P)
+    nu: np.ndarray | None  # (S, R, P, G)
+    log_w: np.ndarray | None  # (S, R, G)
+
+
+def _prepare_tails(grams: np.ndarray, excluded: np.ndarray, ref_start=None) -> _TailProblems:
+    """Build the sigma-free terms of every (Gram, excluded row) problem at once."""
+    n = grams.shape[-1]
+    cols = np.arange(n)
+    cand = cols[None, :] < excluded[:, None]  # (R, n)
+    diag = np.diagonal(grams, axis1=1, axis2=2)  # (S, n)
+    hee = diag[:, excluded]  # (S, R)
+    cross = grams[:, excluded, :]  # (S, R, n): row e of each Gram
+    sq = diag[:, None, :] + hee[..., None] - 2.0 * cross
+    psis = DEFAULT_FAMILY.members(sq, cand)  # (S, R, P, n)
+    distinct = (cand & (sq > IDENTICAL_SQ_TOL)).any(axis=-1)
+    kl = xlogy(psis, psis).sum(axis=-1) + np.log(excluded)[:, None]
+    hee = hee[..., None]
+    a = hee - (psis @ diag[:, None, :, None])[..., 0]
+    quad = ((psis @ grams[:, None]) * psis).sum(axis=-1)
+    q = hee - 2.0 * (psis @ cross[..., None])[..., 0] + quad
+    if ref_start is None:
+        return _TailProblems(distinct, kl, a, q, None, None)
+    # Structured mechanisms repeat prefix rows heavily: merge identical whole
+    # rows once per Gram, so each rank's mixture has one term per distinct
+    # component.  A group's weight at a rank counts its rows from ref_start on.
+    reps, counts = [], []
+    for h in grams:
+        _, first, inverse = np.unique(h, axis=0, return_index=True, return_inverse=True)
+        member = inverse.reshape(-1)[:, None] == np.arange(first.size)
+        from_row = np.cumsum(member[::-1], axis=0)[::-1]  # (n, G_s)
+        reps.append(first)
+        counts.append(from_row[ref_start])
+    groups = max(r.size for r in reps)
+    rep = np.zeros((grams.shape[0], groups), dtype=np.intp)
+    count = np.zeros((grams.shape[0], excluded.size, groups))
+    for s, (r, c) in enumerate(zip(reps, counts)):
+        rep[s, : r.size] = r
+        count[s, :, : r.size] = c
+    share = count / (n - ref_start)[:, None]
+    log_w = np.where(count > 0, np.log(np.where(count > 0, share, 1.0)), -np.inf)
+    rows = np.take_along_axis(grams, rep[..., None], axis=1)  # (S, G, n)
+    at_excluded = rows[:, :, excluded].transpose(0, 2, 1)  # (S, R, G)
+    nu = psis @ rows.transpose(0, 2, 1)[:, None] - at_excluded[:, :, None, :]
+    return _TailProblems(distinct, kl, a, q, nu, log_w)
+
+
+def _mixture_lower_tails(nus, log_w, xi, log_beta) -> np.ndarray:
+    """Largest tau per row with sum_g w_g Phi((tau - nu_g)/xi) <= beta.
+
+    nus, log_w: (C, G) component means and log weights (-inf pads), xi and
+    log_beta: (C,).  One vectorized bisection to 1e-12 absolute in tau,
+    returning the lower end, whose CDF is below beta by construction.
+    """
+    live = log_w > -np.inf
 
     def log_cdf(tau):
         # Hand-rolled LSE: scipy's logsumexp call overhead dominates here.
-        vals = log_ndtr((tau[None, :] - nus) / xi[None, :]) + log_w[:, None]
-        top = vals.max(axis=0)
-        return top + np.log(np.exp(vals - top[None, :]).sum(axis=0))
+        vals = log_ndtr((tau[:, None] - nus) / xi[:, None]) + log_w
+        top = vals.max(axis=1)
+        return top + np.log(np.exp(vals - top[:, None]).sum(axis=1))
 
-    lo = nus.min(axis=0) - 10.0 * xi
-    hi = nus.max(axis=0)
+    low_nu = np.where(live, nus, np.inf).min(axis=1)
+    high_nu = np.where(live, nus, -np.inf).max(axis=1)
+    lo = low_nu - 10.0 * xi
+    hi = high_nu
     width = hi - lo
-    for _ in range(10):
-        bad = log_cdf(lo) > log_beta
-        if not bad.any():
-            break
-        lo = np.where(bad, lo - width, lo)
-        width = hi - lo
-    else:
-        raise RuntimeError(
-            f"tail bisection could not bracket beta={beta} below "
-            f"(nu range [{nus.min()}, {nus.max()}], xi max {xi.max()})"
-        )
-    for _ in range(10):
-        bad = log_cdf(hi) < log_beta
-        if not bad.any():
-            break
-        hi = np.where(bad, hi + width, hi)
-        width = hi - lo
-    else:
-        raise RuntimeError(
-            f"tail bisection could not bracket beta={beta} above "
-            f"(nu range [{nus.min()}, {nus.max()}], xi max {xi.max()})"
-        )
+    for side in ("below", "above"):
+        for _ in range(10):
+            bad = log_cdf(lo) > log_beta if side == "below" else log_cdf(hi) < log_beta
+            if not bad.any():
+                break
+            if side == "below":
+                lo = np.where(bad, lo - width, lo)
+            else:
+                hi = np.where(bad, hi + width, hi)
+            width = hi - lo
+        else:
+            raise RuntimeError(
+                f"tail bisection could not bracket beta={math.exp(log_beta[bad].max())} {side} "
+                f"(nu range [{low_nu.min()}, {high_nu.max()}], xi max {xi.max()})"
+            )
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         ge = log_cdf(mid) >= log_beta
@@ -197,67 +276,49 @@ def _mixture_lower_quantiles(nus: np.ndarray, log_w: np.ndarray, xi: np.ndarray,
     return lo
 
 
-def _tau_core(h: np.ndarray, i: int, ref_rows, sigma: float, beta: float) -> float:
-    """Tail bound tau with Pr[L < tau] <= beta under the reference measure.
+def _tail_bounds(problems: _TailProblems, sigma: float, betas: np.ndarray) -> np.ndarray:
+    """(S, R) tails tau with Pr[L < tau] <= beta_s under each reference measure.
 
-    h is a Gram matrix of prefix vectors laid out so rows 0..i-1 are the
-    mixture candidates and row i is the excluded component.  ref_rows indexes
-    the reference mixture's component means within h (None means the zero
-    vector, i.e. the add direction); the mixture uses uniform weights.
+    Each member's variational lower bound on the loss is Gaussian (add) or a
+    Gaussian mixture over the reference groups (remove) with scale
+    xi = sqrt(q)/sigma; tau is the max over members of its beta-quantile:
+    closed form for add and for a single group, bisected otherwise.
     """
+    sig2 = sigma * sigma
+    const = problems.a / (2.0 * sig2) - problems.kl
+    xi = np.sqrt(np.maximum(problems.q / sig2, 0.0))
+    betas = betas[:, None, None]
+    if problems.nu is None:
+        taus = np.where(xi > 0.0, const + xi * ndtri(betas), const)
+    else:
+        nus = problems.nu / sig2 + const[..., None]
+        log_w = np.broadcast_to(problems.log_w[:, :, None, :], nus.shape)
+        live = log_w > -np.inf
+        log_beta = np.broadcast_to(np.log(betas), xi.shape)
+        # Zero scale: the loss bound is a point mass at each group's nu.
+        taus = np.where(live, nus, np.inf).min(axis=-1)
+        # One reference group: invert the Gaussian CDF directly.
+        single = (live.sum(axis=-1) == 1) & (xi > 0.0)
+        nu1 = np.where(live, nus, -np.inf).max(axis=-1)[single]
+        lw1 = log_w.max(axis=-1)[single]
+        taus[single] = nu1 + xi[single] * ndtri(np.exp(log_beta[single] - lw1))
+        active = (xi > 0.0) & ~single & problems.distinct[..., None]
+        if active.any():
+            taus[active] = _mixture_lower_tails(
+                nus[active], log_w[active], xi[active], log_beta[active]
+            )
+    # Every candidate coincides with the excluded component: L == 0.
+    return np.where(problems.distinct, taus.max(axis=-1), 0.0)
+
+
+def _tail_bound(h: np.ndarray, i: int, ref_start, sigma: float, beta: float) -> float:
+    """One problem on Gram h: candidates rows 0..i-1, excluded row i."""
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    if i < 1:
-        raise ValueError("need at least one candidate component")
-    sig2 = sigma * sigma
-    hii = h[i, i]
-    diag = np.diag(h)[:i]
-    sq_dists = diag + hii - 2.0 * h[i, :i]
-    psis = DEFAULT_FAMILY.members(sq_dists)
-    if psis.shape[0] == 0:
-        # Every candidate coincides with the excluded component: L == 0.
-        return 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(psis > 0.0, psis * np.log(np.where(psis > 0.0, psis, 1.0)), 0.0)
-    kl = plogp.sum(axis=1) + math.log(i)
-    const = (hii - psis @ diag) / (2.0 * sig2) - kl
-    quad = np.einsum("pi,ij,pj->p", psis, h[:i, :i], psis)
-    xi = np.sqrt(np.maximum((hii - 2.0 * psis @ h[i, :i] + quad) / sig2, 0.0))
-
-    if ref_rows is None:
-        taus = np.where(xi > 0.0, const + xi * ndtri(beta), const)
-        return float(taus.max())
-
-    ref_rows = np.asarray(ref_rows, dtype=np.intp)
-    rows = np.ascontiguousarray(
-        np.column_stack([h[np.ix_(ref_rows, np.arange(i))], h[ref_rows, i]])
+    problems = _prepare_tails(
+        h[None], np.array([i]), None if ref_start is None else np.array([ref_start])
     )
-    # Structured mechanisms repeat prefix rows heavily; dedupe before the
-    # quantile search so its mixture has one term per distinct component.
-    index: dict[bytes, int] = {}
-    reps: list[int] = []
-    counts: list[int] = []
-    for k in range(rows.shape[0]):
-        key = rows[k].tobytes()
-        at = index.get(key)
-        if at is None:
-            index[key] = len(reps)
-            reps.append(k)
-            counts.append(1)
-        else:
-            counts[at] += 1
-    uniq = rows[reps]
-    log_w = np.log(np.array(counts, dtype=float) / rows.shape[0])
-    nus = (uniq[:, :i] @ psis.T - uniq[:, i][:, None]) / sig2 + const[None, :]
-
-    taus = np.empty(psis.shape[0])
-    degenerate = xi <= 0.0
-    if degenerate.any():
-        taus[degenerate] = nus[:, degenerate].min(axis=0)
-    active = ~degenerate
-    if active.any():
-        taus[active] = _mixture_lower_quantiles(nus[:, active], log_w, xi[active], beta)
-    return float(taus.max())
+    return float(_tail_bounds(problems, sigma, np.array([beta]))[0, 0])
 
 
 def tail_bound_add(mu_list, mu_i, sigma: float, beta: float) -> float:
@@ -266,7 +327,7 @@ def tail_bound_add(mu_list, mu_i, sigma: float, beta: float) -> float:
     if not mus:
         raise ValueError("need at least one candidate component")
     v = np.vstack(mus + [np.asarray(mu_i, dtype=float)])
-    return _tau_core(v @ v.T, len(mus), None, sigma, beta)
+    return _tail_bound(v @ v.T, len(mus), None, sigma, beta)
 
 
 def tail_bound_remove(mu_list, mu_i, tail_means, sigma: float, beta: float) -> float:
@@ -278,9 +339,7 @@ def tail_bound_remove(mu_list, mu_i, tail_means, sigma: float, beta: float) -> f
     if not tails:
         raise ValueError("the reference mixture needs at least one component")
     v = np.vstack(mus + [np.asarray(mu_i, dtype=float)] + tails)
-    i = len(mus)
-    ref = np.arange(i + 1, i + 1 + len(tails))
-    return _tau_core(v @ v.T, i, ref, sigma, beta)
+    return _tail_bound(v @ v.T, len(mus), len(mus) + 1, sigma, beta)
 
 
 def step_hazards(
@@ -294,7 +353,9 @@ def step_hazards(
     Column i-1 bounds the reverse hazard of the i-th smallest component at
     that step, at the significance of the step's block in the plan.  Prefix
     inner products are maintained incrementally (one rank-1 update per step)
-    rather than recomputed from the raw prefixes.
+    rather than recomputed from the raw prefixes.  Steps are bounded in
+    chunks sized to _HAZARD_CHUNK_ELEMENTS of the (step, rank, member, group)
+    tensor: one sigma-free preparation and one tail evaluation per chunk.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -308,16 +369,20 @@ def step_hazards(
     betas = np.empty(n_total)
     for first, last, beta in plan.blocks():
         betas[first - 1 : last] = beta
+    ranks = np.arange(1, b)  # candidates per bound; the excluded row's index
+    ref_start = ranks if direction == REMOVE else None
+    per_chunk = max(1, _HAZARD_CHUNK_ELEMENTS // ((b - 1) * len(DEFAULT_FAMILY) * b))
     gram_prefix = np.zeros((b, b))
-    for n in range(n_total):
-        scalars = m[:, n]
-        order = np.argsort(scalars, kind="stable")
-        h_sorted = gram_prefix[np.ix_(order, order)]
-        for i in range(1, b):
-            ref = np.arange(i, b) if direction == REMOVE else None
-            tau = _tau_core(h_sorted, i, ref, sigma, float(betas[n]))
-            lam[n, i] = hazard_from_tail(i + 1, tau)
-        gram_prefix += np.outer(scalars, scalars)
+    for start in range(0, n_total, per_chunk):
+        stop = min(start + per_chunk, n_total)
+        grams = np.empty((stop - start, b, b))
+        for s, n in enumerate(range(start, stop)):
+            scalars = m[:, n]
+            order = np.argsort(scalars, kind="stable")
+            grams[s] = gram_prefix[np.ix_(order, order)]
+            gram_prefix += np.outer(scalars, scalars)
+        taus = _tail_bounds(_prepare_tails(grams, ranks, ref_start), sigma, betas[start:stop])
+        lam[start:stop, 1:] = expit(-np.log(ranks) - taus)
     return np.clip(lam, _HAZARD_FLOOR, 1.0)
 
 

@@ -146,34 +146,46 @@ def hockey_stick(pair: MixGaussPair, epsilon: float) -> float:
     return float(_delta_grid(pair, np.array([epsilon]))[0])
 
 
-def _loss_quantile(pair: MixGaussPair, q: float) -> float:
-    """Loss value at the q-quantile of the loss under the pair's first element.
+def _mixture_tail_outcome(pair: MixGaussPair, lower: bool) -> float:
+    """Outcome y with TAIL_MASS of the mixture below it (lower) or above it.
 
-    The loss is monotone in the outcome y, so this is the loss evaluated at a
-    y-space quantile: the mixture's for remove (bisected between exact
-    brackets), the single Gaussian's for add (closed form).
+    Bisected between exact brackets on the tail mass itself: the CDF below,
+    the survival function above.  Neither side is written as 1 - TAIL_MASS,
+    whose rounding near the upper quantile would move the cut by far more
+    than the weights' rounding does.
     """
     sigma = pair.sigma
-    if pair.direction == ADD:
-        y = sigma * float(ndtri(1.0 - q))
-        return -float(_mix_loss(pair, np.array([y]))[0])
-    z = float(ndtri(q))
-    lo = pair.means[0] + sigma * z
-    hi = pair.means[-1] + sigma * z
+    sign = 1.0 if lower else -1.0
+    z = float(ndtri(TAIL_MASS))
+    lo = pair.means[0] + sign * sigma * z
+    hi = pair.means[-1] + sign * sigma * z
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if float(pair.weights @ ndtr((mid - pair.means) / sigma)) >= q:
+        mass = float(pair.weights @ ndtr(sign * (mid - pair.means) / sigma))
+        if (mass >= TAIL_MASS) if lower else (mass <= TAIL_MASS):
             hi = mid
         else:
             lo = mid
         if hi - lo < 1e-12 * sigma:
             break
-    return float(_mix_loss(pair, np.array([hi]))[0])
+    return hi
 
 
 def _loss_range(pair: MixGaussPair) -> tuple[float, float]:
-    """Losses kept on the grid: TAIL_MASS quantiles, floored at LOSS_FLOOR."""
-    return max(LOSS_FLOOR, _loss_quantile(pair, TAIL_MASS)), _loss_quantile(pair, 1.0 - TAIL_MASS)
+    """Losses kept on the grid: TAIL_MASS quantiles, floored at LOSS_FLOOR.
+
+    The loss is monotone in the outcome y, so each end is the loss at a
+    y-space tail cut of the pair's first element: the mixture's for remove
+    (bisected), the single Gaussian's for add (closed form; the add loss
+    falls as y grows, so its lower end sits at the upper y tail).
+    """
+    if pair.direction == ADD:
+        y = pair.sigma * float(ndtri(TAIL_MASS))
+        losses = -_mix_loss(pair, np.array([-y, y]))
+    else:
+        ys = [_mixture_tail_outcome(pair, lower) for lower in (True, False)]
+        losses = _mix_loss(pair, np.array(ys))
+    return max(LOSS_FLOOR, float(losses[0])), float(losses[1])
 
 
 @dataclass(frozen=True)

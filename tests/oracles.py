@@ -1,10 +1,13 @@
 """Shared independent oracles used across test modules."""
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import log_ndtr, ndtri
 from scipy.stats import norm
 
-from balloc.condcomp import _tau_core, hazard_from_tail
+from balloc.condcomp import DEFAULT_FAMILY, IDENTICAL_SQ_TOL, hazard_from_tail
 
 
 def gaussian_profile_delta(sensitivity: float, sigma: float, epsilon: float) -> float:
@@ -72,8 +75,127 @@ def collinear_add_renyi_quadrature(ts, sigma, alpha) -> float:
     return float(np.log(val) / (alpha - 1))
 
 
+def _mixture_lower_quantiles(nus: np.ndarray, log_w: np.ndarray, xi: np.ndarray, beta: float) -> np.ndarray:
+    """Largest tau per column with sum_k w_k Phi((tau - nu_k)/xi) <= beta.
+
+    nus: (K, P) component means, log_w: (K,) log weights, xi: (P,) shared
+    standard deviations (all positive).  Bisection to 1e-12 absolute in tau,
+    returning the lower end (pessimistic).
+    """
+    log_beta = math.log(beta)
+    if nus.shape[0] == 1:
+        # Single component: invert the Gaussian CDF directly.
+        return nus[0] + xi * ndtri(math.exp(log_beta - log_w[0]))
+
+    def log_cdf(tau):
+        # Hand-rolled LSE: scipy's logsumexp call overhead dominates here.
+        vals = log_ndtr((tau[None, :] - nus) / xi[None, :]) + log_w[:, None]
+        top = vals.max(axis=0)
+        return top + np.log(np.exp(vals - top[None, :]).sum(axis=0))
+
+    lo = nus.min(axis=0) - 10.0 * xi
+    hi = nus.max(axis=0)
+    width = hi - lo
+    for _ in range(10):
+        bad = log_cdf(lo) > log_beta
+        if not bad.any():
+            break
+        lo = np.where(bad, lo - width, lo)
+        width = hi - lo
+    else:
+        raise RuntimeError(
+            f"tail bisection could not bracket beta={beta} below "
+            f"(nu range [{nus.min()}, {nus.max()}], xi max {xi.max()})"
+        )
+    for _ in range(10):
+        bad = log_cdf(hi) < log_beta
+        if not bad.any():
+            break
+        hi = np.where(bad, hi + width, hi)
+        width = hi - lo
+    else:
+        raise RuntimeError(
+            f"tail bisection could not bracket beta={beta} above "
+            f"(nu range [{nus.min()}, {nus.max()}], xi max {xi.max()})"
+        )
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        ge = log_cdf(mid) >= log_beta
+        hi = np.where(ge, mid, hi)
+        lo = np.where(ge, lo, mid)
+        if np.max(hi - lo) <= 1e-12:
+            break
+    return lo
+
+
+def _tau_core(h: np.ndarray, i: int, ref_rows, sigma: float, beta: float) -> float:
+    """Tail bound tau with Pr[L < tau] <= beta under the reference measure.
+
+    h is a Gram matrix of prefix vectors laid out so rows 0..i-1 are the
+    mixture candidates and row i is the excluded component.  ref_rows indexes
+    the reference mixture's component means within h (None means the zero
+    vector, i.e. the add direction); the mixture uses uniform weights.
+    """
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    if i < 1:
+        raise ValueError("need at least one candidate component")
+    sig2 = sigma * sigma
+    hii = h[i, i]
+    diag = np.diag(h)[:i]
+    sq_dists = diag + hii - 2.0 * h[i, :i]
+    if not (sq_dists > IDENTICAL_SQ_TOL).any():
+        # Every candidate coincides with the excluded component: L == 0.
+        return 0.0
+    psis = DEFAULT_FAMILY.members(sq_dists)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(psis > 0.0, psis * np.log(np.where(psis > 0.0, psis, 1.0)), 0.0)
+    kl = plogp.sum(axis=1) + math.log(i)
+    const = (hii - psis @ diag) / (2.0 * sig2) - kl
+    quad = np.einsum("pi,ij,pj->p", psis, h[:i, :i], psis)
+    xi = np.sqrt(np.maximum((hii - 2.0 * psis @ h[i, :i] + quad) / sig2, 0.0))
+
+    if ref_rows is None:
+        taus = np.where(xi > 0.0, const + xi * ndtri(beta), const)
+        return float(taus.max())
+
+    ref_rows = np.asarray(ref_rows, dtype=np.intp)
+    rows = np.ascontiguousarray(
+        np.column_stack([h[np.ix_(ref_rows, np.arange(i))], h[ref_rows, i]])
+    )
+    # Structured mechanisms repeat prefix rows heavily; dedupe before the
+    # quantile search so its mixture has one term per distinct component.
+    index: dict[bytes, int] = {}
+    reps: list[int] = []
+    counts: list[int] = []
+    for k in range(rows.shape[0]):
+        key = rows[k].tobytes()
+        at = index.get(key)
+        if at is None:
+            index[key] = len(reps)
+            reps.append(k)
+            counts.append(1)
+        else:
+            counts[at] += 1
+    uniq = rows[reps]
+    log_w = np.log(np.array(counts, dtype=float) / rows.shape[0])
+    nus = (uniq[:, :i] @ psis.T - uniq[:, i][:, None]) / sig2 + const[None, :]
+
+    taus = np.empty(psis.shape[0])
+    degenerate = xi <= 0.0
+    if degenerate.any():
+        taus[degenerate] = nus[:, degenerate].min(axis=0)
+    active = ~degenerate
+    if active.any():
+        taus[active] = _mixture_lower_quantiles(nus[:, active], log_w, xi[active], beta)
+    return float(taus.max())
+
+
 def single_step_hazards(means, n: int, sigma: float, plan, direction: str) -> np.ndarray:
     """Hazard bounds of step n alone, its prefix Gram formed from the raw prefixes.
+
+    Each (step, rank) bound is one scalar `_tau_core` call, with its own
+    bisection: the problem-at-a-time reference for the batched engine.
 
     Rows of the Gram follow the step's scalar means in ascending order; rank
     i+1 takes i candidates, and the remove direction's reference mixture is

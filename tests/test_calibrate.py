@@ -192,6 +192,29 @@ def test_profile_requires_ascending_grid():
         profile("mc", build_identity(2), Schedule(1, 2), 1.0, [0.5, 1.0])  # no seed
 
 
+@pytest.mark.parametrize("method", ["renyi", "condcomp", "best", "mc"])
+@pytest.mark.parametrize("sigma, grid", [
+    (1.0, [float("nan")]),
+    (1.0, [float("nan"), 1.0]),
+    (1.0, [0.5, float("inf")]),
+    (float("inf"), [1.0]),
+    (float("nan"), [1.0]),
+])
+def test_profile_rejects_non_finite_inputs(method, sigma, grid):
+    # NaN compares false, so it would slip through the ascending check and
+    # read out as delta_E plus dust; inf sigma would certify delta ~ 0.
+    with pytest.raises(ValueError, match="finite"):
+        profile(method, build_identity(4), Schedule(2, 2), sigma, grid, seed=1)
+
+
+@pytest.mark.parametrize(
+    "epsilon, tol", [(float("nan"), 1e-3), (float("inf"), 1e-3), (1.0, float("nan"))]
+)
+def test_calibrate_rejects_non_finite_inputs(epsilon, tol):
+    with pytest.raises(ValueError, match="finite"):
+        calibrate_sigma("condcomp", build_identity(4), Schedule(2, 2), epsilon, 1e-5, tol=tol)
+
+
 def test_profile_crossings_are_few():
     strategy = build_identity(20)
     sched = Schedule(1, 20)

@@ -135,6 +135,26 @@ def test_account_best_excludes_mc(identity4, capsys):
     assert payload["delta"] == min(payload["direction_breakdown"].values())
 
 
+@pytest.mark.parametrize("method", ["condcomp", "best"])
+def test_account_reports_the_allocation_of_its_condcomp_half(identity4, capsys, method):
+    code, out = run_and_capture(
+        capsys,
+        ["account", "--matrix", identity4, "--epochs", "2", "--batches", "2", "--sigma", "1",
+         "--epsilon", "1", "--method", method, "--allocation", "global-max"],
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["allocation"] == "global-max"
+    assert payload["allocation_note"] == "as-published"
+    code, out = run_and_capture(
+        capsys,
+        ["account", "--matrix", identity4, "--epochs", "2", "--batches", "2", "--sigma", "1",
+         "--epsilon", "1", "--method", method],
+    )
+    payload = json.loads(out)
+    assert payload["allocation"] == "hybrid" and "allocation_note" not in payload
+
+
 def _twelve_digits(value):
     """A float as `account` prints it (12 significant digits)."""
     return float(f"{value:.12g}")
@@ -197,6 +217,27 @@ def test_zero_mechanism_is_validated_like_any_other(tmp_path, kind, argv):
     path = tmp_path / "m.txt"
     write_matrix(strategy, path)
     assert main(argv + ["--matrix", str(path), "--epochs", "2", "--batches", "2"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["account", "--method", "condcomp", "--sigma", "1", "--epsilon", "nan"],
+    ["account", "--method", "renyi", "--sigma", "inf", "--epsilon", "1"],
+    ["account", "--method", "best", "--sigma", "nan", "--epsilon", "1"],
+    ["account", "--method", "mc", "--sigma", "1", "--epsilon=-inf", "--seed", "1"],
+    ["account", "--method", "condcomp", "--sigma", "1", "--epsilon", "1", "--delta-e", "nan"],
+    ["profile", "--method", "condcomp", "--sigma", "1", "--epsilons", "nan,1"],
+    ["profile", "--method", "renyi", "--sigma", "1", "--epsilons", "0.5,inf"],
+    ["profile", "--method", "renyi", "--sigma", "inf", "--epsilons", "0.5,1"],
+    ["calibrate", "--method", "condcomp", "--epsilon", "nan", "--delta", "1e-5"],
+    ["calibrate", "--method", "renyi", "--epsilon", "1", "--delta", "1e-5", "--tol", "nan"],
+    ["compare", "--delta", "1e-5", "--epsilons", "1,nan", "--seed", "1"],
+])
+def test_non_finite_inputs_are_usage_errors(identity4, capsys, argv):
+    # argparse's float() accepts nan and inf; the accountants reject them
+    code = main(argv + ["--matrix", identity4, "--epochs", "2", "--batches", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def test_account_size_mismatch_is_usage_error(identity4):

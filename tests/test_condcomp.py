@@ -24,7 +24,6 @@ from balloc.condcomp import (
     step_hazards,
     tail_bound_add,
     tail_bound_remove,
-    _tau_core,
 )
 from balloc.mechanism import (
     Schedule,
@@ -89,16 +88,14 @@ def test_point_mass_member_pays_kl(monkeypatch):
     # two distinct candidates; compare a point-mass member against uniform
     mus = [np.array([2.0, 0.0]), np.array([0.0, 2.0])]
     mu_i = np.array([0.0, 0.0])
-    v = np.vstack(mus + [mu_i])
-    h = v @ v.T
     beta = 1e-4
     point = np.array([[1.0, 0.0]])
     uniform = np.array([[0.5, 0.5]])
     z = float(norm.ppf(beta))
     monkeypatch.setattr(condcomp, "DEFAULT_FAMILY", _FixedFamily(point))
-    tau_point = _tau_core(h, 2, None, 1.0, beta)
+    tau_point = tail_bound_add(mus, mu_i, 1.0, beta)
     monkeypatch.setattr(condcomp, "DEFAULT_FAMILY", _FixedFamily(uniform))
-    tau_unif = _tau_core(h, 2, None, 1.0, beta)
+    tau_unif = tail_bound_add(mus, mu_i, 1.0, beta)
     # point mass: nu = (0 - 4)/2 - log(2); uniform: nu = (0 - 4)/2 - 0
     assert tau_point == pytest.approx(-2.0 - math.log(2.0) + 2.0 * z, abs=1e-9)
     assert tau_unif == pytest.approx(-2.0 + math.sqrt(2.0) * z, abs=1e-9)
@@ -108,11 +105,16 @@ def test_point_mass_member_pays_kl(monkeypatch):
 
 
 class _FixedFamily:
+    """The same member rows over the candidates of every problem in a batch."""
+
     def __init__(self, rows):
         self.rows = np.asarray(rows, dtype=float)
 
-    def members(self, sq_dists):
-        return self.rows
+    def members(self, sq_dists, candidates=None):
+        sq = np.asarray(sq_dists)
+        rows = np.zeros(sq.shape[:-1] + (self.rows.shape[0], sq.shape[-1]))
+        rows[..., : self.rows.shape[1]] = self.rows
+        return rows
 
 
 def test_tail_bound_remove_single_reference_matches_analytic():
@@ -342,20 +344,75 @@ def test_step_pair_b_equals_one():
     assert np.sort(means.means[:, 1]) == pytest.approx([1.0])
 
 
+def _bsr(n):
+    return StrategyMatrix.from_toeplitz(sqrt_toeplitz_coefficients(4), size=n)
+
+
+HAZARD_CASES = [
+    (build_identity(12), Schedule(3, 4)),
+    (_bsr(12), Schedule(3, 4)),
+    (_bsr(12), Schedule(2, 6)),
+    (_bsr(28), Schedule(1, 28)),
+    (build_identity(96), Schedule(24, 4)),
+]
+
+
 def test_step_hazards_match_single_step_builder():
-    # the incremental rank-1 Gram update and the per-step significance
-    # against the prefix Gram formed from the raw prefixes at every step
-    bsr = StrategyMatrix.from_toeplitz(sqrt_toeplitz_coefficients(4), size=12)
-    cases = [(build_identity(12), Schedule(3, 4)), (bsr, Schedule(3, 4)), (bsr, Schedule(2, 6))]
-    for strategy, sched in cases:
+    # the batched engine (incremental rank-1 Gram update, chunked steps, one
+    # bisection per chunk) against one scalar tail bound per (step, rank) on
+    # the prefix Gram formed from the raw prefixes, at every step
+    for strategy, sched in HAZARD_CASES:
         means = mixture_means(strategy, sched)
         for allocation in STRATEGIES:
             plan = AllocationPlan(sched, 1e-4, allocation)
             for direction in (REMOVE, ADD):
                 lam = step_hazards(means, 1.0, plan, direction)
-                for n in range(1, sched.iterations + 1):
-                    single = single_step_hazards(means, n, 1.0, plan, direction)
-                    assert lam[n - 1] == pytest.approx(single, rel=1e-10)
+                single = np.array(
+                    [
+                        single_step_hazards(means, n, 1.0, plan, direction)
+                        for n in range(1, sched.iterations + 1)
+                    ]
+                )
+                assert lam == pytest.approx(single, rel=1e-12)
+
+
+@pytest.mark.parametrize("steps_per_chunk", [1, 3])
+def test_step_hazards_do_not_depend_on_chunking(monkeypatch, steps_per_chunk):
+    for strategy, sched in (HAZARD_CASES[0], HAZARD_CASES[2]):
+        b = sched.batches_per_epoch
+        means = mixture_means(strategy, sched)
+        plan = AllocationPlan(sched, 1e-4, "hybrid")
+        whole = {d: step_hazards(means, 1.3, plan, d) for d in (REMOVE, ADD)}
+        per_step = (b - 1) * len(DEFAULT_FAMILY) * b
+        monkeypatch.setattr(condcomp, "_HAZARD_CHUNK_ELEMENTS", steps_per_chunk * per_step)
+        for direction, lam in whole.items():
+            assert step_hazards(means, 1.3, plan, direction) == pytest.approx(lam, rel=1e-12)
+
+
+def test_remove_bisection_returns_the_pessimistic_end(monkeypatch):
+    # every bisected remove column's tau keeps the mixture CDF at or below
+    # beta, re-evaluated independently of the engine's own log-CDF
+    seen = []
+    bisect = condcomp._mixture_lower_tails
+
+    def recording(nus, log_w, xi, log_beta):
+        taus = bisect(nus, log_w, xi, log_beta)
+        seen.append((nus, log_w, xi, log_beta, taus))
+        return taus
+
+    monkeypatch.setattr(condcomp, "_mixture_lower_tails", recording)
+    for strategy, sched in (HAZARD_CASES[1], HAZARD_CASES[3]):
+        plan = AllocationPlan(sched, 1e-4, "union")
+        step_hazards(mixture_means(strategy, sched), 1.2, plan, REMOVE)
+    rng = np.random.default_rng(3)
+    checked = 0
+    for nus, log_w, xi, log_beta, taus in seen:
+        for c in rng.choice(taus.size, size=min(taus.size, 40), replace=False):
+            live = log_w[c] > -np.inf
+            terms = norm.logcdf((taus[c] - nus[c][live]) / xi[c]) + log_w[c][live]
+            assert np.logaddexp.reduce(terms) <= log_beta[c]
+            checked += 1
+    assert checked > 100
 
 
 def test_cond_comp_single_batch_matches_gaussian_composition():
@@ -368,6 +425,50 @@ def test_cond_comp_single_batch_matches_gaussian_composition():
     oracle = gaussian_profile_delta(math.sqrt(n), sigma, eps) + delta_e
     assert delta >= oracle - 1e-12
     assert delta - oracle < 1e-4
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from(["identity", "bsr"]),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.floats(0.6, 3.0),
+)
+def test_small_delta_floor_is_pessimistic(kind, epochs, batches, sigma):
+    # Below about 1e-14 the composed delta is float dust: the TAIL_MASS cuts
+    # and FFT rounding leave it an absolute error of order 1e-16 per step.
+    # At every target <= 1e-12 it must never fall more than 1e-15 below a
+    # lower bound on the composed pair's divergence: the closed-form Gaussian
+    # composition when b = 1, else the largest single step's exact
+    # divergence (composition never lowers it).  The composed infinity atom
+    # is part of every readout.
+    sched = Schedule(epochs, batches)
+    n = sched.iterations
+    if kind == "identity":
+        strategy = build_identity(n)
+    else:
+        strategy = StrategyMatrix.from_toeplitz(sqrt_toeplitz_coefficients(min(4, n)), size=n)
+    composed = condcomp.cond_comp_pld(strategy, sched, sigma, 1e-6)
+    means = mixture_means(strategy, sched)
+    plan = AllocationPlan(sched, 1e-6, "hybrid")
+    for direction in (REMOVE, ADD):
+        lam = apply_sharing(step_hazards(means, sigma, plan, direction), plan)
+        pairs = [
+            condcomp.MixGaussPair(
+                np.sort(means.means[:, j]), reverse_hazard_weights(lam[j]), sigma, direction
+            )
+            for j in range(n)
+        ]
+        for eps in np.linspace(1.0, 40.0, 27):
+            delta = condcomp.pld.delta_at(composed[direction], eps)
+            if delta > 1e-12:
+                continue
+            if batches == 1:
+                floor = gaussian_profile_delta(math.sqrt(float(np.sum(means.means**2))), sigma, eps)
+            else:
+                floor = max(condcomp.pld.hockey_stick(pair, eps) for pair in pairs)
+            assert delta >= floor - 1e-15
+            assert delta >= composed[direction].infinity_mass
 
 
 def test_cond_comp_monotone_in_sigma_and_epsilon():

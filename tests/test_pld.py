@@ -22,7 +22,7 @@ from balloc.pld import (
     hockey_stick,
     point_mass_pld,
 )
-from balloc.pld import _convolve
+from balloc.pld import _convolve, _loss_range
 
 from oracles import gaussian_profile_delta, hockey_stick_quadrature
 
@@ -207,6 +207,22 @@ def test_auto_spacing_targets_support():
     h = auto_spacing(pairs)
     pld = discretize(pairs[0], h)
     assert 998 <= pld.pmf.size <= 1002
+
+
+@pytest.mark.parametrize("direction", [REMOVE, ADD])
+def test_loss_range_ignores_weight_rounding(direction):
+    # The grid ends are tail cuts of TAIL_MASS = 1e-15; a 1e-15 perturbation
+    # of the weights, renormalized, changes their sum by ulps only and must
+    # not move either end (a cut through 1 - TAIL_MASS moves by ~1e-2).
+    rng = np.random.default_rng(5)
+    means = np.sort(rng.uniform(0.0, 3.0, 12))
+    weights = rng.dirichlet(np.ones(12))
+    base = _loss_range(MixGaussPair(means, weights, 1.7, direction))
+    for _ in range(8):
+        nudged = weights + 1e-15 * rng.uniform(0.0, 1.0, weights.size)
+        nudged /= nudged.sum()
+        moved = _loss_range(MixGaussPair(means, nudged, 1.7, direction))
+        assert moved == pytest.approx(base, rel=1e-9, abs=1e-9)
 
 
 def test_csv_dump(tmp_path):
