@@ -398,6 +398,8 @@ def _compose_steps(pairs, grid_spacing):
     keys = [pair.key() for pair in pairs]
     counts = Counter(keys)
     distinct = dict(zip(keys, pairs))
+    # The spacing and each grid read the same pair objects, so each distinct
+    # pair's cached loss range is computed once.
     h = grid_spacing if grid_spacing is not None else pld.auto_spacing(distinct.values())
     return pld.compose(
         pld.compose_power(pld.discretize(distinct[key], h), count)

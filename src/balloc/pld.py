@@ -2,7 +2,11 @@
 
 The privacy loss of (sum_i w_i N(m_i, s^2), N(0, s^2)) is monotone in the
 outcome when all means are non-negative, so hockey-stick divergences reduce to
-one-dimensional Gaussian tail sums around a bisected threshold.  Losses are
+one-dimensional Gaussian tail sums around a threshold outcome.  The loss is a
+log-sum-exp of affine functions of the outcome, hence convex as well as
+increasing, and each threshold is found by Newton's method started to the
+right of it: every tangent lies below the curve, so every iterate stays to
+the right and the iterates fall monotonically onto the threshold.  Losses are
 quantized pessimistically (connect-the-dots: exact delta at the grid
 epsilons, dominating chords between them; truncated tails folded into the
 bottom point or the +infinity atom) so that the discretized delta dominates
@@ -12,6 +16,7 @@ shared grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,44 +86,95 @@ class MixGaussPair:
         """True when the mixture collapses to N(0, sigma), i.e. the pair is (Q, Q)."""
         return bool(np.all(self.means == 0.0))
 
+    @functools.cached_property
+    def loss_range(self) -> tuple[float, float]:
+        """Losses kept on the grid (`_loss_range`), computed once per pair.
 
-def _mix_loss(pair: MixGaussPair, y: np.ndarray) -> np.ndarray:
-    """log(mixture / N(0, sigma)) at y; strictly increasing when some mean > 0."""
+        Both the grid spacing of a composition and each pair's grid read it.
+        """
+        return _loss_range(self)
+
+
+def _mix_loss_slope(pair: MixGaussPair, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(mixture / N(0, sigma)) at y and its derivative in y.
+
+    The loss is a log-sum-exp of lines with slopes m_i / sigma^2, so it is
+    convex, and strictly increasing when some mean > 0; its derivative is the
+    softmax-weighted mean of those slopes, read off the same exponentials.
+    """
     m = pair.means[None, :]
     w = np.log(pair.weights)[None, :]
     y = np.atleast_1d(np.asarray(y, dtype=float))[:, None]
     vals = (2.0 * m * y - m * m) / (2.0 * pair.sigma**2) + w
     top = vals.max(axis=1)
-    return top + np.log(np.exp(vals - top[:, None]).sum(axis=1))
+    terms = np.exp(vals - top[:, None])
+    total = terms.sum(axis=1)
+    return top + np.log(total), (terms @ pair.means) / (total * pair.sigma**2)
+
+
+def _mix_loss(pair: MixGaussPair, y: np.ndarray) -> np.ndarray:
+    """log(mixture / N(0, sigma)) at y."""
+    return _mix_loss_slope(pair, y)[0]
+
+
+def _newton_start(pair: MixGaussPair, ell: np.ndarray) -> np.ndarray:
+    """An outcome whose loss is surely >= ell, for each ell above the infimum.
+
+    e^L(y) = w_0 [m_0 = 0] + sum_{m_i > 0} w_i exp((2 m_i y - m_i^2) / (2 s^2)),
+    so each term of the sum alone reaches e^ell - w_0 [m_0 = 0] at or right of
+    the solution, and so does Jensen's line L(y) >= sum_i w_i (2 m_i y - m_i^2)
+    / (2 s^2); the least of these is the start.
+    """
+    sigma2 = pair.sigma**2
+    rest = ell
+    if pair.means[0] == 0.0:
+        # log(e^ell - w_0), or ell itself where rounding puts ell at log(w_0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rest = ell + np.log(-np.expm1(math.log(pair.weights[0]) - ell))
+        rest = np.where(np.isfinite(rest), rest, ell)
+    positive = pair.means > 0.0
+    m, w = pair.means[positive], pair.weights[positive]
+    terms = (sigma2 * (rest[:, None] - np.log(w)) + m * m / 2.0) / m
+    m_bar = pair.weights @ pair.means
+    jensen = (sigma2 * ell + (pair.weights @ pair.means**2) / 2.0) / m_bar
+    return np.minimum(terms.min(axis=1), jensen)
 
 
 def _mix_loss_inverse(pair: MixGaussPair, ell: np.ndarray) -> np.ndarray:
-    """Solve _mix_loss(y) = ell for y by vectorized bisection.
+    """Solve _mix_loss(y) = ell for y by vectorized Newton steps from the right.
 
-    Values of ell at or below the loss infimum map to an effectively -inf
-    threshold (every Gaussian tail evaluates to 0 there).
+    Each entry starts at an outcome whose loss is surely >= ell
+    (`_newton_start`).  The loss is convex, so the tangent there lies below it
+    and meets ell at or right of the solution: every iterate stays to the
+    right and the iterates decrease monotonically.  An entry stops once its
+    step is within 1e-13 * sigma, or when rounding stops its iterate from
+    decreasing.  Values of ell at or below the loss at an effectively -inf
+    threshold (every Gaussian tail evaluates to 0 there), the loss infimum
+    included, return that threshold.
     """
     ell = np.atleast_1d(np.asarray(ell, dtype=float))
-    sigma = pair.sigma
-    m_max = pair.means[-1]
-    w_max = pair.weights[-1]
-    lo = np.full(ell.shape, -64.0 * sigma - m_max)
-    # L(y) >= log(w_max) + (2 m_max y - m_max^2)/(2 s^2): solve for a sure upper end.
-    hi = (sigma**2 * (ell - math.log(w_max)) + m_max**2 / 2.0) / m_max
-    hi = np.maximum(hi, lo + sigma)
-    tol = 1e-13 * sigma
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        high = _mix_loss(pair, mid) >= ell
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-        if np.max(hi - lo) < tol:
-            break
-    return 0.5 * (lo + hi)
+    lo = -64.0 * pair.sigma - pair.means[-1]
+    y = np.full(ell.shape, lo)
+    active = np.flatnonzero(ell > _mix_loss(pair, lo)[0])
+    y[active] = _newton_start(pair, ell[active])
+    tol = 1e-13 * pair.sigma
+    while active.size:
+        loss, slope = _mix_loss_slope(pair, y[active])
+        # A slope that underflows to 0 leaves the loss flat: no further progress.
+        step = np.divide(loss - ell[active], slope, out=np.zeros_like(slope), where=slope > 0)
+        moved = y[active] - step
+        falling = moved < y[active]
+        y[active[falling]] = moved[falling]
+        active = active[falling & (step > tol)]
+    return y
 
 
-def _delta_grid(pair: MixGaussPair, epsilons: np.ndarray) -> np.ndarray:
-    """Exact hockey-stick divergence at each epsilon (vectorized)."""
+def _delta_terms(pair: MixGaussPair, epsilons: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, second) with delta = first - second at each epsilon (vectorized).
+
+    first is the pair's first element's mass where the loss exceeds epsilon,
+    second e^epsilon times the second element's mass there.
+    """
     sigma = pair.sigma
     eps = np.asarray(epsilons, dtype=float)
     if pair.direction == REMOVE:
@@ -131,6 +187,12 @@ def _delta_grid(pair: MixGaussPair, epsilons: np.ndarray) -> np.ndarray:
         second = np.exp(
             eps[:, None] + log_ndtr((y[:, None] - pair.means[None, :]) / sigma)
         ) @ pair.weights
+    return first, second
+
+
+def _delta_grid(pair: MixGaussPair, epsilons: np.ndarray) -> np.ndarray:
+    """Exact hockey-stick divergence at each epsilon (vectorized)."""
+    first, second = _delta_terms(pair, epsilons)
     return np.clip(first - second, 0.0, 1.0)
 
 
@@ -225,19 +287,21 @@ def discretize(pair: MixGaussPair, h: float) -> DiscretePLD:
     points its delta is the chord in e^epsilon, which lies above the exact
     (convex) curve.  Mass below the first grid point (at most TAIL_MASS plus
     whatever lies under LOSS_FLOOR) is folded up into it and the upper tail
-    beyond the (1 - TAIL_MASS) quantile becomes infinity_mass, both of which
-    only raise delta.  The induced delta therefore upper-bounds
-    hockey_stick(pair, epsilon) everywhere.
+    beyond the top grid point, at most TAIL_MASS, becomes infinity_mass
+    (charged as that tail's own mass, not as delta there, which cancels to 0
+    in float), both of which only raise delta.  The induced delta therefore
+    upper-bounds hockey_stick(pair, epsilon) everywhere.
     """
     if h <= 0:
         raise ValueError(f"grid spacing must be positive, got {h}")
     if pair.degenerate:
         return point_mass_pld(h)
-    x_lo, x_hi = _loss_range(pair)
+    x_lo, x_hi = pair.loss_range
     j_lo = math.ceil(x_lo / h - 1e-9)
     j_hi = max(math.ceil(x_hi / h), j_lo + 1)
     grid = np.arange(j_lo, j_hi + 1) * h
-    deltas = _delta_grid(pair, grid)
+    first, second = _delta_terms(pair, grid)
+    deltas = np.clip(first - second, 0.0, 1.0)
     # p_j = e^h A_{j-1} - A_j with A_j = (delta_j - delta_{j+1})/(e^h - 1) and
     # A at the top edge 0; the bottom point absorbs the remaining mass.
     a = np.concatenate([np.diff(deltas) / -math.expm1(h), [0.0]])  # A_j, j = lo..hi
@@ -248,7 +312,7 @@ def discretize(pair: MixGaussPair, h: float) -> DiscretePLD:
     # clipping them (one-sided clipping inflates the total).
     head = np.maximum.accumulate(np.cumsum(raw))
     pmf = np.diff(head, prepend=0.0)
-    infinity_mass = float(deltas[-1])
+    infinity_mass = float(first[-1])
     pmf[0] = max(0.0, 1.0 - infinity_mass - float(pmf[1:].sum()))
     return DiscretePLD(h=h, lo_index=j_lo, pmf=_freeze(pmf), infinity_mass=infinity_mass)
 
@@ -259,7 +323,7 @@ def auto_spacing(pairs) -> float:
     for pair in pairs:
         if pair.degenerate:
             continue
-        lo, hi = _loss_range(pair)
+        lo, hi = pair.loss_range
         span = max(span, hi - lo)
     if span <= 0.0:
         return 1e-4
@@ -288,12 +352,13 @@ def compose(plds) -> DiscretePLD:
         raise ValueError("cannot compose distributions with different grid spacings")
     pmf = plds[0].pmf
     lo = plds[0].lo_index
-    keep = 1.0 - plds[0].infinity_mass
     for p in plds[1:]:
         pmf = _convolve(pmf, p.pmf)
         lo += p.lo_index
-        keep *= 1.0 - p.infinity_mass
-    return DiscretePLD(h=h, lo_index=lo, pmf=_freeze(pmf), infinity_mass=1.0 - keep)
+    # 1 - prod(1 - m_i) in log space: each 1 - m_i would round m_i ~ 1e-15 by ~5%.
+    log_keep = float(np.log1p(-np.array([p.infinity_mass for p in plds])).sum())
+    infinity_mass = max(0.0, -math.expm1(log_keep))  # 0.0, not -0.0, when no atom
+    return DiscretePLD(h=h, lo_index=lo, pmf=_freeze(pmf), infinity_mass=infinity_mass)
 
 
 def compose_power(pld: DiscretePLD, n: int) -> DiscretePLD:

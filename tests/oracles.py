@@ -8,6 +8,7 @@ from scipy.special import log_ndtr, ndtri
 from scipy.stats import norm
 
 from balloc.condcomp import DEFAULT_FAMILY, IDENTICAL_SQ_TOL, hazard_from_tail
+from balloc.pld import _mix_loss
 
 
 def gaussian_profile_delta(sensitivity: float, sigma: float, epsilon: float) -> float:
@@ -52,6 +53,31 @@ def hockey_stick_quadrature(means, weights, sigma, epsilon, direction) -> float:
         f = lambda y: max(q(y) - np.exp(epsilon) * p(y), 0.0)
     val, _ = quad(f, -lim, lim, limit=2000, epsabs=1e-12)
     return float(val)
+
+
+def mix_loss_inverse_bisection(pair, ell) -> np.ndarray:
+    """Solve _mix_loss(y) = ell for y by vectorized bisection to 1e-13 * sigma.
+
+    Values of ell at or below the loss infimum map to the effectively -inf
+    threshold -64 sigma - max mean (every Gaussian tail evaluates to 0 there).
+    """
+    ell = np.atleast_1d(np.asarray(ell, dtype=float))
+    sigma = pair.sigma
+    m_max = pair.means[-1]
+    w_max = pair.weights[-1]
+    lo = np.full(ell.shape, -64.0 * sigma - m_max)
+    # L(y) >= log(w_max) + (2 m_max y - m_max^2)/(2 s^2): solve for a sure upper end.
+    hi = (sigma**2 * (ell - math.log(w_max)) + m_max**2 / 2.0) / m_max
+    hi = np.maximum(hi, lo + sigma)
+    tol = 1e-13 * sigma
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        high = _mix_loss(pair, mid) >= ell
+        hi = np.where(high, mid, hi)
+        lo = np.where(high, lo, mid)
+        if np.max(hi - lo) < tol:
+            break
+    return 0.5 * (lo + hi)
 
 
 def collinear_add_renyi_quadrature(ts, sigma, alpha) -> float:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -238,6 +241,19 @@ def test_non_finite_inputs_are_usage_errors(identity4, capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ") and captured.out == ""
+
+
+def test_python_dash_m_runs_the_cli(identity4, capsys):
+    argv = ["account", "--matrix", identity4, "--epochs", "2", "--batches", "2",
+            "--method", "condcomp", "--sigma", "1.0", "--epsilon", "1.0"]
+    code, out = run_and_capture(capsys, argv)
+    src = os.path.dirname(os.path.dirname(sys.modules["balloc"].__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-m", "balloc", *argv], env=env, capture_output=True, text=True
+    )
+    assert (run.returncode, code) == (0, 0)
+    assert json.loads(run.stdout) == json.loads(out)
 
 
 def test_account_size_mismatch_is_usage_error(identity4):

@@ -301,6 +301,21 @@ def test_compose_steps_brackets_each_distinct_pair_once(monkeypatch):
         assert len(set(keys)) == len(keys) < sched.iterations
 
 
+def test_compose_steps_computes_each_loss_range_once(monkeypatch):
+    # the spacing and every grid of a composition share each distinct pair's range
+    ranged, gridded = [], []
+    loss_range, discretize = condcomp.pld._loss_range, condcomp.pld.discretize
+    monkeypatch.setattr(
+        condcomp.pld, "_loss_range", lambda pair: ranged.append(pair.key()) or loss_range(pair)
+    )
+    monkeypatch.setattr(
+        condcomp.pld, "discretize", lambda pair, h: gridded.append(pair.key()) or discretize(pair, h)
+    )
+    condcomp.cond_comp_pld(build_identity(12), Schedule(3, 4), 2.0, 1e-6)
+    assert len(set(ranged)) == len(ranged)
+    assert sorted(ranged) == sorted(gridded)
+
+
 def test_hybrid_equals_union_for_single_epoch():
     sched = Schedule(1, 10)
     hybrid = AllocationPlan(sched, 1e-5, "hybrid")

@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import balloc
+from balloc import pld as pld_module
 from balloc.pld import (
     _DIRECT_CONV_LIMIT,
     ADD,
     REMOVE,
+    DiscretePLD,
     MixGaussPair,
     auto_spacing,
     compose,
@@ -22,9 +26,15 @@ from balloc.pld import (
     hockey_stick,
     point_mass_pld,
 )
-from balloc.pld import _convolve, _loss_range
+from balloc.pld import (
+    _convolve,
+    _delta_grid,
+    _loss_range,
+    _mix_loss_inverse,
+    _mix_loss_slope,
+)
 
-from oracles import gaussian_profile_delta, hockey_stick_quadrature
+from oracles import gaussian_profile_delta, hockey_stick_quadrature, mix_loss_inverse_bisection
 
 
 def random_pair(rng, max_components=3):
@@ -223,6 +233,89 @@ def test_loss_range_ignores_weight_rounding(direction):
         nudged /= nudged.sum()
         moved = _loss_range(MixGaussPair(means, nudged, 1.7, direction))
         assert moved == pytest.approx(base, rel=1e-9, abs=1e-9)
+
+
+def _solver_pairs(rng, count):
+    """1-5 components, with and without a zero mean, sigma from 0.05 to 100."""
+    for _ in range(count):
+        k = int(rng.integers(1, 6))
+        means = np.sort(rng.uniform(0.0, 3.0, k) * 10.0 ** rng.uniform(-1.0, 1.0))
+        if rng.random() < 0.5:
+            means[0] = 0.0
+        means[-1] = max(means[-1], 0.05)
+        sigma = float(np.exp(rng.uniform(math.log(0.05), math.log(100.0))))
+        direction = REMOVE if rng.random() < 0.5 else ADD
+        yield MixGaussPair(means, rng.dirichlet(np.ones(k)), sigma, direction)
+
+
+@pytest.mark.filterwarnings("error")
+def test_newton_threshold_matches_bisection_oracle(monkeypatch):
+    rng = np.random.default_rng(8)
+    for pair in _solver_pairs(rng, 300):
+        x_lo, x_hi = pair.loss_range
+        eps = np.concatenate([np.linspace(x_lo, x_hi, 40), x_hi + rng.uniform(0.0, 500.0, 5)])
+        # Losses from below the infimum (log w_0 with a zero mean, else -inf)
+        # through the whole grid to far above its top, in both directions.
+        ell = np.concatenate([eps, -eps, x_lo - rng.uniform(0.0, 1e3, 3)])
+        if pair.means[0] == 0.0:
+            ell = np.append(ell, math.log(pair.weights[0]))
+        y = _mix_loss_inverse(pair, ell)
+        y_oracle = mix_loss_inverse_bisection(pair, ell)
+        # Where the loss is flat to within its own rounding (near its infimum),
+        # the float loss pins the threshold no closer than that rounding over
+        # the slope, for either solver.
+        _, slope = _mix_loss_slope(pair, y_oracle)
+        with np.errstate(divide="ignore", over="ignore"):
+            flat = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(ell)) / slope
+        tol = 1e-13 * pair.sigma + 4.0 * np.spacing(np.abs(y_oracle)) + flat
+        assert np.all(np.abs(y - y_oracle) <= tol)
+
+        deltas = _delta_grid(pair, eps)
+        with monkeypatch.context() as m:
+            m.setattr(pld_module, "_mix_loss_inverse", mix_loss_inverse_bisection)
+            oracle = _delta_grid(pair, eps)
+        assert np.all(np.abs(deltas - oracle) <= np.maximum(1e-12 * oracle, 1e-15))
+
+
+def test_discretize_counts_its_work(monkeypatch):
+    """At most 12 loss evaluations per threshold; each pair's range computed once."""
+    calls, ranges = [], []
+    slope, loss_range = pld_module._mix_loss_slope, pld_module._loss_range
+    monkeypatch.setattr(
+        pld_module, "_mix_loss_slope", lambda pair, y: calls.append(pair) or slope(pair, y)
+    )
+    monkeypatch.setattr(
+        pld_module, "_loss_range", lambda pair: ranges.append(pair) or loss_range(pair)
+    )
+    rng = np.random.default_rng(9)
+    for pair in _solver_pairs(rng, 40):
+        h = auto_spacing([pair])
+        calls.clear()
+        discretize(pair, h)
+        # one call at the -inf threshold, then one per Newton step, each
+        # evaluating every grid point still moving
+        assert len(calls) - 1 <= 12
+    # the spacing and the grid share each pair's range
+    assert len(ranges) == 40
+
+
+def test_infinity_atom_charges_the_truncated_tail():
+    # delta at the top grid point cancels to ~0 in float; the tail's own mass
+    # (<= TAIL_MASS) must reach the atom, or tiny composed deltas fall short.
+    single = MixGaussPair([1.0], [1.0], 2.55, REMOVE)
+    assert delta_at(discretize(single, auto_spacing([single])), 3.0) >= gaussian_profile_delta(
+        1.0, 2.55, 3.0
+    )
+    unit = MixGaussPair([1.0], [1.0], 2.0, REMOVE)
+    three = compose_power(discretize(unit, auto_spacing([unit])), 3)
+    assert delta_at(three, 12.0) >= gaussian_profile_delta(math.sqrt(3.0), 2.0, 12.0)
+
+
+def test_compose_infinity_mass_is_exact_for_tiny_atoms():
+    mass = 1.05e-15
+    atoms = [DiscretePLD(h=0.1, lo_index=0, pmf=np.array([1.0 - mass]), infinity_mass=mass)] * 48
+    exact = float(1 - (1 - Fraction(mass)) ** 48)
+    assert compose(atoms).infinity_mass == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_csv_dump(tmp_path):
