@@ -35,7 +35,6 @@ from .pld import (
     compose_power,
     delta_at,
     discretize,
-    dump_csv,
     hockey_stick,
 )
 from .condcomp import (
@@ -43,7 +42,6 @@ from .condcomp import (
     VariationalFamily,
     cond_comp_account,
     cond_comp_pld,
-    hazard_from_tail,
     reverse_hazard_weights,
     step_hazards,
     tail_bound_add,

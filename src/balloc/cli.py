@@ -294,6 +294,12 @@ def main(argv=None) -> int:
     except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # e.g. numpy's _ArrayMemoryError on an oversize run: a computational
+        # failure, reported in one line rather than as a traceback.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -14,10 +14,15 @@ prefix Gram matrix up to date, and bounds every component rank of every step,
 batched over chunks of steps whose (step, rank, member, group) tensor fits a
 constant budget of _HAZARD_CHUNK_ELEMENTS.  Per chunk, `_prepare_tails`
 builds the sigma-free part of every problem at once (sorted prefix Grams,
-variational members, KL and quadratic forms, reference rows merged into
-groups of identical rows) and `_tail_bounds` evaluates it at sigma: closed
-form for the add direction, one vectorized bisection over every remove
-column, each returning its pessimistic (lower) end.
+variational members, KL and quadratic forms, and the remove direction's
+reference terms) and `_tail_bounds` evaluates it at sigma: closed form for
+the add direction, one vectorized bisection over every remove column, each
+returning its pessimistic (lower) end.  A remove term's mean at sigma is
+nu/sigma^2 plus a constant of its (step, rank, member), with nu sigma-free,
+so terms of equal nu are equal at every sigma: the preparation merges them
+once, summing their weights, and the bisection sees one term per distinct
+mean: at most 2 per bound on DP-SGD (k <= 4, b <= 100 tried), whose Grams
+hold up to b distinct rows.
 
 The delta_E failure budget is split by `AllocationPlan.blocks`, one table of
 (first step, last step, significance) per shared hazard vector for the chosen
@@ -114,13 +119,6 @@ def reverse_hazard_weights(lambdas) -> np.ndarray:
     return lam * suffix
 
 
-def hazard_from_tail(i: int, tau: float) -> float:
-    """Reverse-hazard bound sigmoid(-log(i-1) - tau) for component rank i >= 2."""
-    if i < 2:
-        raise ValueError(f"component rank must be >= 2, got {i}")
-    return float(expit(-math.log(i - 1) - tau))
-
-
 @dataclass(frozen=True)
 class AllocationPlan:
     """How the delta_E failure budget is split across steps and components.
@@ -175,10 +173,12 @@ class _TailProblems:
     Problem (s, r) excludes row e = excluded[r] of Gram grams[s]; rows before
     it are the candidates.  Its reference measure is N(0, sigma^2 I) (add:
     nu and log_w are None) or the uniform mixture over rows ref_start[r] and
-    up (remove), whose identical whole Gram rows are merged into G groups.
-    Per variational member psi: kl; a = h_ee - psi.diag; q = h_ee -
-    2 psi.h_e + psi'H psi; and per group g, nu = h_g.psi - h_ge.  log_w is
-    each group's log weight per rank, -inf where the group is empty there.
+    up (remove).  Per variational member psi: kl; a = h_ee - psi.diag; q =
+    h_ee - 2 psi.h_e + psi'H psi; and per reference row k, nu = h_k.psi -
+    h_ke.  At sigma a term's mean is nu/sigma^2 plus a per-member constant,
+    so terms with equal nu are equal at every sigma: each member's terms are
+    merged by exactly equal nu into G groups, log_w holding each group's log
+    weight (its share of the reference rows), -inf on padding.
     """
 
     distinct: np.ndarray  # (S, R): some candidate differs from the excluded row
@@ -186,7 +186,34 @@ class _TailProblems:
     a: np.ndarray  # (S, R, P)
     q: np.ndarray  # (S, R, P)
     nu: np.ndarray | None  # (S, R, P, G)
-    log_w: np.ndarray | None  # (S, R, G)
+    log_w: np.ndarray | None  # (S, R, P, G)
+
+
+def _merge_equal_terms(nu: np.ndarray, live: np.ndarray):
+    """Merge each column's live terms with exactly equal nu, summing weights.
+
+    nu and live are (..., n); every live term of a column weighs 1 / (its
+    live count).  Returns (nu, log_w), (..., G) with G the most distinct
+    values in any column: each column's distinct values ascending, then
+    padding with nu = 0 and log_w = -inf.
+    """
+    lead, n = nu.shape[:-1], nu.shape[-1]
+    values = np.sort(np.where(live, nu, np.inf), axis=-1).reshape(-1, n)
+    n_live = live.sum(axis=-1).reshape(-1)
+    starts = (np.arange(n) < n_live[:, None]) & np.concatenate(
+        [np.ones((values.shape[0], 1), dtype=bool), values[:, 1:] != values[:, :-1]], axis=1
+    )
+    col, at = np.nonzero(starts)  # row-major: each column's runs in order
+    run = np.arange(col.size) - np.searchsorted(col, col)
+    # A run ends where its column's next run starts, the last at the live count.
+    last = np.append(col[1:] != col[:-1], True)
+    ends = np.where(last, n_live[col], np.roll(at, -1))
+    groups = int(run.max()) + 1
+    out_nu = np.zeros((values.shape[0], groups))
+    out_nu[col, run] = values[col, at]
+    log_w = np.full((values.shape[0], groups), -np.inf)
+    log_w[col, run] = np.log((ends - at) / n_live[col])
+    return out_nu.reshape(lead + (groups,)), log_w.reshape(lead + (groups,))
 
 
 def _prepare_tails(grams: np.ndarray, excluded: np.ndarray, ref_start=None) -> _TailProblems:
@@ -203,31 +230,14 @@ def _prepare_tails(grams: np.ndarray, excluded: np.ndarray, ref_start=None) -> _
     kl = xlogy(psis, psis).sum(axis=-1) + np.log(excluded)[:, None]
     hee = hee[..., None]
     a = hee - (psis @ diag[:, None, :, None])[..., 0]
-    quad = ((psis @ grams[:, None]) * psis).sum(axis=-1)
-    q = hee - 2.0 * (psis @ cross[..., None])[..., 0] + quad
+    psi_h = psis @ grams[:, None]  # (S, R, P, n): h_k.psi per row k (H is symmetric)
+    q = hee - 2.0 * (psis @ cross[..., None])[..., 0] + (psi_h * psis).sum(axis=-1)
     if ref_start is None:
         return _TailProblems(distinct, kl, a, q, None, None)
-    # Structured mechanisms repeat prefix rows heavily: merge identical whole
-    # rows once per Gram, so each rank's mixture has one term per distinct
-    # component.  A group's weight at a rank counts its rows from ref_start on.
-    reps, counts = [], []
-    for h in grams:
-        _, first, inverse = np.unique(h, axis=0, return_index=True, return_inverse=True)
-        member = inverse.reshape(-1)[:, None] == np.arange(first.size)
-        from_row = np.cumsum(member[::-1], axis=0)[::-1]  # (n, G_s)
-        reps.append(first)
-        counts.append(from_row[ref_start])
-    groups = max(r.size for r in reps)
-    rep = np.zeros((grams.shape[0], groups), dtype=np.intp)
-    count = np.zeros((grams.shape[0], excluded.size, groups))
-    for s, (r, c) in enumerate(zip(reps, counts)):
-        rep[s, : r.size] = r
-        count[s, :, : r.size] = c
-    share = count / (n - ref_start)[:, None]
-    log_w = np.where(count > 0, np.log(np.where(count > 0, share, 1.0)), -np.inf)
-    rows = np.take_along_axis(grams, rep[..., None], axis=1)  # (S, G, n)
-    at_excluded = rows[:, :, excluded].transpose(0, 2, 1)  # (S, R, G)
-    nu = psis @ rows.transpose(0, 2, 1)[:, None] - at_excluded[:, :, None, :]
+    # Reference row k's term: nu = h_k.psi - h_ke, for rows ref_start[r] and up.
+    nu = psi_h - cross[:, :, None, :]
+    live = np.broadcast_to((cols >= ref_start[:, None])[None, :, None, :], nu.shape)
+    nu, log_w = _merge_equal_terms(nu, live)
     return _TailProblems(distinct, kl, a, q, nu, log_w)
 
 
@@ -292,7 +302,7 @@ def _tail_bounds(problems: _TailProblems, sigma: float, betas: np.ndarray) -> np
         taus = np.where(xi > 0.0, const + xi * ndtri(betas), const)
     else:
         nus = problems.nu / sig2 + const[..., None]
-        log_w = np.broadcast_to(problems.log_w[:, :, None, :], nus.shape)
+        log_w = problems.log_w
         live = log_w > -np.inf
         log_beta = np.broadcast_to(np.log(betas), xi.shape)
         # Zero scale: the loss bound is a point mass at each group's nu.
@@ -438,18 +448,14 @@ def cond_comp_account(
     epsilon: float,
     delta_e: float,
     allocation: str = "hybrid",
-    grid_spacing: float | None = None,
 ) -> tuple[float, dict]:
     """(delta, per-direction composed delta) at epsilon; delta adds delta_e.
 
-    The zero mechanism's pair is identical: no privacy loss and no bad event,
-    so its delta is the identical-pair one (after the inputs are validated).
+    The one-epsilon readout of `calibrate.profile`, zero-mechanism rule included.
     """
-    composed = cond_comp_pld(
-        strategy, schedule, sigma, delta_e, allocation, grid_spacing=grid_spacing
-    )
-    if not mixture_means(strategy, schedule).means.any():
-        delta = pld.identical_pair_delta(epsilon)
-        return delta, {REMOVE: delta, ADD: delta}
-    per_direction = {d: pld.delta_at(composed[d], epsilon) for d in (REMOVE, ADD)}
-    return min(1.0, max(per_direction.values()) + delta_e), per_direction
+    from .calibrate import profile
+
+    point = profile(
+        "condcomp", strategy, schedule, sigma, [epsilon], delta_e=delta_e, allocation=allocation
+    )[0]
+    return point.delta, point.breakdown

@@ -383,13 +383,3 @@ def delta_at(pld: DiscretePLD, epsilon: float) -> float:
     delta = float(pld.pmf[mask] @ -np.expm1(epsilon - losses[mask])) + pld.infinity_mass
     return min(1.0, max(0.0, delta))
 
-
-def dump_csv(pld: DiscretePLD, path) -> None:
-    """Debug dump: one row per grid point, header comment with the metadata."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"# h={pld.h:.17g} origin={pld.origin} infinity_mass={pld.infinity_mass:.17g}\n"
-        )
-        fh.write("grid_index,loss,mass\n")
-        for j, (loss, mass) in enumerate(zip(pld.losses(), pld.pmf)):
-            fh.write(f"{pld.lo_index + j},{loss:.17g},{mass:.17g}\n")

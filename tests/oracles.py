@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import log_ndtr, ndtri
+from scipy.special import expit, log_ndtr, ndtri
 from scipy.stats import norm
 
-from balloc.condcomp import DEFAULT_FAMILY, IDENTICAL_SQ_TOL, hazard_from_tail
+from balloc.condcomp import DEFAULT_FAMILY, IDENTICAL_SQ_TOL
 from balloc.pld import _mix_loss
 
 
@@ -215,6 +215,13 @@ def _tau_core(h: np.ndarray, i: int, ref_rows, sigma: float, beta: float) -> flo
     if active.any():
         taus[active] = _mixture_lower_quantiles(nus[:, active], log_w, xi[active], beta)
     return float(taus.max())
+
+
+def hazard_from_tail(i: int, tau: float) -> float:
+    """Reverse-hazard bound sigmoid(-log(i-1) - tau) for component rank i >= 2."""
+    if i < 2:
+        raise ValueError(f"component rank must be >= 2, got {i}")
+    return float(expit(-math.log(i - 1) - tau))
 
 
 def single_step_hazards(means, n: int, sigma: float, plan, direction: str) -> np.ndarray:

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import balloc.calibrate
 from balloc.calibrate import profile
 from balloc.cli import main
 from balloc.mechanism import (
@@ -360,3 +361,20 @@ def test_float_formatting_is_12_significant_digits(identity4, capsys):
     as_text = f"{payload['delta']:.17g}"
     # round-trip through the 12-digit formatter is lossless for the output
     assert float(f"{payload['delta']:.12g}") == payload["delta"]
+
+
+def test_stray_memory_error_exits_one_without_traceback(identity4, capsys, monkeypatch):
+    # numpy raises _ArrayMemoryError, a MemoryError, on an oversize allocation
+    def oversize(*args, **kwargs):
+        raise MemoryError(
+            "Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+            "and data type float64"
+        )
+
+    monkeypatch.setattr(balloc.calibrate, "profile", oversize)
+    code = main(["account", "--matrix", identity4, "--epochs", "2", "--batches", "2",
+                 "--sigma", "1", "--epsilon", "1", "--method", "renyi"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: out of memory: Unable to allocate 74.5 GiB")
+    assert err.count("\n") == 1 and "Traceback" not in err

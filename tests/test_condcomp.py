@@ -19,7 +19,6 @@ from balloc.condcomp import (
     VariationalFamily,
     apply_sharing,
     cond_comp_account,
-    hazard_from_tail,
     reverse_hazard_weights,
     step_hazards,
     tail_bound_add,
@@ -35,7 +34,7 @@ from balloc.mechanism import (
 from balloc.mc import TernaryLoss, mc_exceedance, ternary_loss_samples
 from balloc.pld import ADD, REMOVE
 
-from oracles import gaussian_profile_delta, single_step_hazards
+from oracles import _tau_core, gaussian_profile_delta, hazard_from_tail, single_step_hazards
 
 
 def test_reverse_hazard_weights_cases():
@@ -430,13 +429,88 @@ def test_remove_bisection_returns_the_pessimistic_end(monkeypatch):
     assert checked > 100
 
 
+def _raw_remove_log_cdf(h, i, sigma, tau):
+    """Per member, the log-CDF at tau of the remove loss bound, one term per raw row.
+
+    Written out from the Gram rows ref = i..b-1 with scipy's normal, no merging:
+    member psi's bound is Gaussian with mean (h_k.psi - h_ki)/sigma^2 + const
+    per reference row k, each weighted 1/(b - i), and scale sqrt(q)/sigma.  A
+    zero scale is a point mass per row, and Pr[L < tau] counts the rows below.
+    """
+    sig2 = sigma * sigma
+    b = h.shape[0]
+    d = np.diag(h)[:i] + h[i, i] - 2 * h[i, :i]
+    out = []
+    for psi in DEFAULT_FAMILY.members(d):
+        kl = float(np.sum(psi[psi > 0] * np.log(psi[psi > 0]))) + math.log(i)
+        const = (h[i, i] - psi @ np.diag(h)[:i]) / (2 * sig2) - kl
+        xi = math.sqrt(max((h[i, i] - 2 * psi @ h[i, :i] + psi @ h[:i, :i] @ psi) / sig2, 0.0))
+        means = np.array([(h[k, :i] @ psi - h[k, i]) / sig2 + const for k in range(i, b)])
+        if xi > 0.0:
+            out.append(np.logaddexp.reduce(norm.logcdf((tau - means) / xi)) - math.log(b - i))
+        else:
+            below = np.count_nonzero(means < tau)
+            out.append(math.log(below / (b - i)) if below else -math.inf)
+    return np.array(out)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(3, 8), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_remove_merge_matches_the_row_oracle_and_stays_pessimistic(b, dim, seed):
+    # Random Grams whose reference rows repeat (a small pool of prefix
+    # vectors, zero among them): the engine merges each member's terms by
+    # equal nu, the oracle dedupes whole rows.  Both give the same tau, and
+    # the un-merged mixture's CDF at it stays at or below beta.  The slack
+    # is float conditioning, not the merge: a member's scale comes from
+    # q = h_ee - 2 psi.h_e + psi'H psi, which loses relative precision
+    # eps*|H|/q when q is tiny, and the Gaussian tail amplifies that.
+    rng = np.random.default_rng(seed)
+    pool = np.vstack([np.zeros(dim), rng.normal(size=(int(rng.integers(1, b)), dim))])
+    rows = pool[rng.integers(pool.shape[0], size=b)]
+    h = rows @ rows.T
+    sigma, beta = float(rng.uniform(0.5, 2.0)), 1e-4
+    ranks = np.arange(1, b)
+    problems = condcomp._prepare_tails(h[None], ranks, ranks)
+    taus = condcomp._tail_bounds(problems, sigma, np.array([beta]))[0]
+    for i, tau in zip(ranks, taus):
+        oracle = _tau_core(h, int(i), np.arange(i, b), sigma, beta)
+        assert tau == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+        if problems.distinct[0, i - 1]:
+            assert _raw_remove_log_cdf(h, int(i), sigma, tau).min() <= math.log(beta) + 1e-6
+        else:
+            assert tau == 0.0
+
+
+def test_remove_terms_merge_to_distinct_means(monkeypatch):
+    # Counted work: the remove mixture keeps one term per distinct sigma-free
+    # mean of each member, not one per distinct whole Gram row.
+    widths = []
+    prepare = condcomp._prepare_tails
+
+    def recording(grams, excluded, ref_start=None):
+        problems = prepare(grams, excluded, ref_start)
+        widths.append(problems.nu.shape[-1])
+        return problems
+
+    monkeypatch.setattr(condcomp, "_prepare_tails", recording)
+    for strategy, sched, most in [
+        (build_identity(32), Schedule(1, 32), 2),
+        (_bsr(28), Schedule(1, 28), 5),
+    ]:
+        widths.clear()
+        plan = AllocationPlan(sched, 1e-5, "union")
+        step_hazards(mixture_means(strategy, sched), 1.0, plan, REMOVE)
+        assert widths and max(widths) <= most
+
+
 def test_cond_comp_single_batch_matches_gaussian_composition():
     # b = 1: per-step pairs are plain unit-shift Gaussians; the N-fold
     # composition is a Gaussian mechanism with sensitivity sqrt(N)
     n, sigma, eps, delta_e = 4, 2.0, 1.0, 1e-6
-    delta, _ = cond_comp_account(
-        build_identity(n), Schedule(n, 1), sigma, eps, delta_e, grid_spacing=2e-4
+    composed = condcomp.cond_comp_pld(
+        build_identity(n), Schedule(n, 1), sigma, delta_e, grid_spacing=2e-4
     )
+    delta = max(condcomp.pld.delta_at(c, eps) for c in composed.values()) + delta_e
     oracle = gaussian_profile_delta(math.sqrt(n), sigma, eps) + delta_e
     assert delta >= oracle - 1e-12
     assert delta - oracle < 1e-4

@@ -22,7 +22,6 @@ from balloc.pld import (
     compose_power,
     delta_at,
     discretize,
-    dump_csv,
     hockey_stick,
     point_mass_pld,
 )
@@ -316,20 +315,6 @@ def test_compose_infinity_mass_is_exact_for_tiny_atoms():
     atoms = [DiscretePLD(h=0.1, lo_index=0, pmf=np.array([1.0 - mass]), infinity_mass=mass)] * 48
     exact = float(1 - (1 - Fraction(mass)) ** 48)
     assert compose(atoms).infinity_mass == pytest.approx(exact, rel=1e-12, abs=0.0)
-
-
-def test_csv_dump(tmp_path):
-    pld = discretize(MixGaussPair([1.0], [1.0], 1.0, REMOVE), 0.05)
-    path = tmp_path / "pld.csv"
-    dump_csv(pld, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# h=")
-    assert lines[1] == "grid_index,loss,mass"
-    assert len(lines) == 2 + pld.pmf.size
-    idx, loss, mass = lines[2].split(",")
-    assert int(idx) == pld.lo_index
-    assert float(loss) == pytest.approx(pld.lo_index * pld.h)
-    assert float(mass) == pytest.approx(pld.pmf[0])
 
 
 def test_convolve_is_bitwise_fftconvolve():
