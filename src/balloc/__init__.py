@@ -21,7 +21,6 @@ from .renyi import (
     renyi_account,
     renyi_add_bound,
     renyi_curve,
-    renyi_remove_bruteforce,
     renyi_remove_dp,
     renyi_remove_orders,
     renyi_to_delta,
@@ -44,10 +43,8 @@ from .condcomp import (
     cond_comp_pld,
     reverse_hazard_weights,
     step_hazards,
-    tail_bound_add,
-    tail_bound_remove,
 )
-from .mc import MCEstimate, TernaryLoss, mc_delta, mc_exceedance
+from .mc import MCEstimate
 from .calibrate import (
     PrivacyPoint,
     UnachievableTargetError,

@@ -10,6 +10,14 @@ from .mechanism import Schedule, StrategyMatrix, mixture_means
 
 SIGMA_MIN = 2.0**-16
 SIGMA_MAX = 2.0**16
+_X_MIN = math.log(SIGMA_MIN)
+_X_MAX = math.log(SIGMA_MAX)
+# Before the root is bracketed: the slope of log(-log delta) in log sigma
+# assumed from a single probe (Gaussian tails), the floor on a measured slope,
+# and the largest jump in log sigma.
+_PRIOR_SLOPE = 2.0
+_MIN_SLOPE = 0.5
+_MAX_JUMP = 3.0
 
 METHODS = ("renyi", "condcomp", "best")
 
@@ -35,35 +43,83 @@ class PrivacyPoint:
     estimate: mc.MCEstimate | None = None
 
 
+def _log_log(delta: float) -> float:
+    """log(-log delta): +inf at delta <= 0, -inf at delta >= 1, NaN stays NaN."""
+    if delta <= 0.0:
+        return math.inf
+    if delta >= 1.0:
+        return -math.inf
+    return math.log(-math.log(delta))
+
+
 def smallest_sigma(delta_fn, delta_target: float, tol: float) -> float:
     """Smallest sigma with delta_fn(sigma) <= delta_target, to relative tol.
 
-    Geometric bracket expansion from 0.25 followed by geometric bisection; the
-    returned sigma satisfies the target while sigma*(1 - 2*tol) does not.
+    For delta_fn non-increasing in sigma, the returned sigma meets the target
+    and sigma / (1 + tol) does not: a probe at or above it failed.  SIGMA_MIN
+    is returned as soon as it meets the target; UnachievableTargetError is
+    raised when SIGMA_MAX does not.
+
+    The search runs on x = log sigma and y = log(-log delta) minus the same of
+    the target, so y >= 0 where the target is met.  Gaussian-tailed profiles
+    have delta ~ exp(-c sigma^2), so y is nearly linear in x with slope 2.
+    From sigma = 1, until the root is bracketed, each probe extrapolates
+    through the last two finite probes (slope at least _MIN_SLOPE, and
+    _PRIOR_SLOPE from one probe), overshoots by log(1 + tol) so that it tends
+    to cross the root, and jumps at most _MAX_JUMP in x; where delta is
+    exactly 0 or 1, y is infinite and the probe jumps _MAX_JUMP.  Inside the
+    bracket it takes Illinois steps (regula falsi, halving the y of an end
+    kept twice in a row), or bisects while an end's y is infinite.  Every
+    probe stays half of log(1 + tol) inside the bracket, so the last two tend
+    to straddle the root.  It stops when the meeting and failing ends are
+    within a factor 1 + tol.
     """
-    hi = 0.25
-    lo = None
-    while delta_fn(hi) > delta_target:
-        lo = hi
-        hi *= 2.0
-        if hi > SIGMA_MAX:
-            raise UnachievableTargetError(
-                f"no sigma up to {SIGMA_MAX} reaches delta <= {delta_target}"
-            )
-    if lo is None:
-        lo = hi / 2.0
-        while delta_fn(lo) <= delta_target:
-            hi = lo
-            lo /= 2.0
-            if lo < SIGMA_MIN:
-                return hi
-    while hi / lo > 1.0 + tol:
-        mid = math.sqrt(lo * hi)
-        if delta_fn(mid) <= delta_target:
-            hi = mid
+    step = math.log1p(tol)
+    y_target = _log_log(delta_target)
+    fail = meet = None  # [x, y] of the largest failing and smallest meeting probe
+    finite = []  # [x, y] of the last two finite probes before the bracket
+    last = None  # the end the previous probe moved
+    x = 0.0
+    while True:
+        x = min(max(x, _X_MIN), _X_MAX)
+        sigma = SIGMA_MIN if x == _X_MIN else SIGMA_MAX if x == _X_MAX else math.exp(x)
+        delta = delta_fn(sigma)
+        probe = [x, _log_log(delta) - y_target]
+        if delta <= delta_target:
+            if x == _X_MIN:
+                return SIGMA_MIN
+            meet, meet_sigma, moved = probe, sigma, "meet"
         else:
-            lo = mid
-    return hi
+            if x == _X_MAX:
+                raise UnachievableTargetError(
+                    f"no sigma up to {SIGMA_MAX} reaches delta <= {delta_target}"
+                )
+            fail, fail_sigma, moved = probe, sigma, "fail"
+        halve, last = moved == last, moved
+        if fail is None or meet is None:
+            up = 1.0 if meet is None else -1.0
+            if math.isfinite(probe[1]):
+                finite = (finite + [probe])[-2:]
+                slope = _PRIOR_SLOPE
+                if len(finite) == 2:
+                    (x0, y0), (x1, y1) = finite
+                    slope = (y1 - y0) / (x1 - x0)
+                slope = slope if slope > _MIN_SLOPE else _MIN_SLOPE
+                jump = -probe[1] / slope + up * step
+                x += min(max(jump, -_MAX_JUMP), _MAX_JUMP)
+            else:
+                x += up * _MAX_JUMP
+            continue
+        if meet_sigma <= fail_sigma * (1.0 + tol):
+            return meet_sigma
+        if halve:  # Illinois: the other end was kept twice in a row
+            (meet if moved == "fail" else fail)[1] /= 2.0
+        (x0, y0), (x1, y1) = fail, meet
+        if math.isfinite(y0) and math.isfinite(y1):
+            x = x0 - y0 * (x1 - x0) / (y1 - y0)
+        else:
+            x = 0.5 * (x0 + x1)
+        x = min(max(x, x0 + step / 2.0), x1 - step / 2.0)
 
 
 def calibrate_sigma(
@@ -171,12 +227,13 @@ def profile(
             )
             for r, c in zip(rp, cp)
         ]
-    means = mixture_means(strategy, schedule)
     # The zero mechanism's pair is identical: the deterministic accountants
     # read its delta exactly, after their inputs are validated; Monte Carlo
-    # samples it like any other.  Each readout maps epsilon to (delta per
-    # direction, alpha, MC estimate per direction).
-    zero = method != "mc" and not means.means.any()
+    # samples it like any other.  The mixture means are column sums of |C|
+    # over every column, so they vanish exactly when C does, and only the
+    # accountant that consumes them builds them.  Each readout maps epsilon to
+    # (delta per direction, alpha, MC estimate per direction).
+    zero = method != "mc" and not strategy.data.any()
     bad_event = 0.0
     if method == "renyi":
         # One order is all the zero mechanism needs, and still validates.
@@ -201,6 +258,7 @@ def profile(
     elif method == "mc":
         if seed is None:
             raise ValueError("Monte Carlo profiles require an explicit seed")
+        means = mixture_means(strategy, schedule)
         samples = {
             d: mc.mc_loss_samples(means, sigma, d, n_samples, seed) for d in (pld.REMOVE, pld.ADD)
         }

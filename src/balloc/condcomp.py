@@ -321,37 +321,6 @@ def _tail_bounds(problems: _TailProblems, sigma: float, betas: np.ndarray) -> np
     return np.where(problems.distinct, taus.max(axis=-1), 0.0)
 
 
-def _tail_bound(h: np.ndarray, i: int, ref_start, sigma: float, beta: float) -> float:
-    """One problem on Gram h: candidates rows 0..i-1, excluded row i."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    problems = _prepare_tails(
-        h[None], np.array([i]), None if ref_start is None else np.array([ref_start])
-    )
-    return float(_tail_bounds(problems, sigma, np.array([beta]))[0, 0])
-
-
-def tail_bound_add(mu_list, mu_i, sigma: float, beta: float) -> float:
-    """Analytic lower tail bound for the ternary loss under R = N(0, sigma^2 I)."""
-    mus = [np.asarray(m, dtype=float) for m in mu_list]
-    if not mus:
-        raise ValueError("need at least one candidate component")
-    v = np.vstack(mus + [np.asarray(mu_i, dtype=float)])
-    return _tail_bound(v @ v.T, len(mus), None, sigma, beta)
-
-
-def tail_bound_remove(mu_list, mu_i, tail_means, sigma: float, beta: float) -> float:
-    """Bisected lower tail bound under the uniform tail mixture R = avg_k N(mu_k, sigma^2 I)."""
-    mus = [np.asarray(m, dtype=float) for m in mu_list]
-    tails = [np.asarray(m, dtype=float) for m in tail_means]
-    if not mus:
-        raise ValueError("need at least one candidate component")
-    if not tails:
-        raise ValueError("the reference mixture needs at least one component")
-    v = np.vstack(mus + [np.asarray(mu_i, dtype=float)] + tails)
-    return _tail_bound(v @ v.T, len(mus), len(mus) + 1, sigma, beta)
-
-
 def step_hazards(
     means: MixtureMeans,
     sigma: float,

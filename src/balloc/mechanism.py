@@ -9,7 +9,7 @@ truncation) is built here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -135,6 +135,11 @@ class GramSummary:
     banded: np.ndarray  # (b, b)
     tau: float
     sigma: float
+
+    def at_bandwidth(self, bandwidth: int) -> "GramSummary":
+        """The same Gram truncated to another cyclic band; the means are not rebuilt."""
+        banded, tau = cyclic_truncate(self.gram, bandwidth)
+        return replace(self, bandwidth=int(bandwidth), banded=_freeze(banded), tau=tau)
 
 
 def build_identity(n: int) -> StrategyMatrix:

@@ -26,7 +26,6 @@ from scipy.special import gammaln, logsumexp
 from .mechanism import GramSummary, Schedule, StrategyMatrix
 from .mechanism import gram_summary
 
-BRUTEFORCE_TUPLE_LIMIT = 10**7
 _COMPOSITION_LIMIT = 2 * 10**7
 
 DEFAULT_ALPHAS = tuple(range(2, 65))
@@ -68,36 +67,6 @@ def _check_bandwidth(strategy: StrategyMatrix, schedule: Schedule, bandwidth) ->
     if not 1 <= bandwidth <= b:
         raise ValueError(f"bandwidth must be in [1, {b}], got {bandwidth}")
     return int(bandwidth)
-
-
-def renyi_remove_bruteforce(g, sigma: float, alpha: int, b: int | None = None) -> float:
-    """Remove-direction divergence by enumerating all b^alpha ordered tuples.
-
-    Independent oracle for the dynamic program; guarded because the tuple
-    count explodes.
-    """
-    g = np.asarray(g, dtype=float)
-    alpha = _check_alpha(alpha)
-    if b is None:
-        b = g.shape[0]
-    if b != g.shape[0]:
-        raise ValueError(f"b={b} does not match gram shape {g.shape}")
-    if b**alpha > BRUTEFORCE_TUPLE_LIMIT:
-        raise ValueError(f"b^alpha = {b**alpha} exceeds the enumeration guard")
-    inv = 1.0 / (2.0 * sigma**2)
-    exponents = np.empty(b**alpha)
-    chunk = 1 << 14
-    tuples = itertools.product(range(b), repeat=alpha)
-    pos = 0
-    while True:
-        block = np.array(list(itertools.islice(tuples, chunk)), dtype=np.intp)
-        if block.size == 0:
-            break
-        sub = g[block[:, :, None], block[:, None, :]]
-        tot = sub.sum(axis=(1, 2)) - sub[:, np.arange(alpha), np.arange(alpha)].sum(axis=1)
-        exponents[pos : pos + block.shape[0]] = tot * inv
-        pos += block.shape[0]
-    return float((logsumexp(exponents) - alpha * math.log(b)) / (alpha - 1))
 
 
 def _compositions(total: int, parts: int) -> np.ndarray:
@@ -330,8 +299,13 @@ def renyi_curve(
     summaries: dict[int, GramSummary] = {}
 
     def summary_at(p: int) -> GramSummary:
+        # One Gram (and one set of mixture means) per curve, one truncation
+        # per bandwidth.
         if p not in summaries:
-            summaries[p] = gram_summary(strategy, schedule, sigma, p)
+            if summaries:
+                summaries[p] = next(iter(summaries.values())).at_bandwidth(p)
+            else:
+                summaries[p] = gram_summary(strategy, schedule, sigma, p)
         return summaries[p]
 
     groups: dict[int, list[int]] = {}

@@ -1,14 +1,20 @@
 """Shared independent oracles used across test modules."""
 
+import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import expit, log_ndtr, ndtri
+from scipy.special import expit, log_ndtr, logsumexp, ndtri
 from scipy.stats import norm
 
-from balloc.condcomp import DEFAULT_FAMILY, IDENTICAL_SQ_TOL
+from balloc import mc
+from balloc.calibrate import SIGMA_MAX, SIGMA_MIN, UnachievableTargetError
+from balloc.condcomp import DEFAULT_FAMILY, IDENTICAL_SQ_TOL, _prepare_tails, _tail_bounds
+from balloc.mechanism import gram
 from balloc.pld import _mix_loss
+from balloc.renyi import _check_alpha
 
 
 def gaussian_profile_delta(sensitivity: float, sigma: float, epsilon: float) -> float:
@@ -28,6 +34,37 @@ def gaussian_profile_sigma(sensitivity: float, epsilon: float, delta: float) -> 
         else:
             lo = mid
     return float(hi)
+
+
+def smallest_sigma_bisection(delta_fn, delta_target: float, tol: float) -> float:
+    """Reference calibration search: doubling from 0.25, then geometric bisection.
+
+    Same contract as `calibrate.smallest_sigma`: the returned sigma meets the
+    target and sigma / (1 + tol) does not, for delta_fn non-increasing.
+    """
+    hi = 0.25
+    lo = None
+    while delta_fn(hi) > delta_target:
+        lo = hi
+        hi *= 2.0
+        if hi > SIGMA_MAX:
+            raise UnachievableTargetError(
+                f"no sigma up to {SIGMA_MAX} reaches delta <= {delta_target}"
+            )
+    if lo is None:
+        lo = hi / 2.0
+        while delta_fn(lo) <= delta_target:
+            hi = lo
+            lo /= 2.0
+            if lo < SIGMA_MIN:
+                return hi
+    while hi / lo > 1.0 + tol:
+        mid = math.sqrt(lo * hi)
+        if delta_fn(mid) <= delta_target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def mixture_pdf(y, means, weights, sigma):
@@ -253,3 +290,141 @@ def single_step_hazards(means, n: int, sigma: float, plan, direction: str) -> np
         ref = np.arange(i, b) if direction == "remove" else None
         lam[i] = hazard_from_tail(i + 1, _tau_core(h_sorted, i, ref, sigma, beta))
     return np.clip(lam, 1e-300, 1.0)
+
+
+BRUTEFORCE_TUPLE_LIMIT = 10**7
+
+
+def renyi_remove_bruteforce(g, sigma: float, alpha: int, b: int | None = None) -> float:
+    """Remove-direction divergence by enumerating all b^alpha ordered tuples.
+
+    Independent oracle for the dynamic program; guarded because the tuple
+    count explodes.
+    """
+    g = np.asarray(g, dtype=float)
+    alpha = _check_alpha(alpha)
+    if b is None:
+        b = g.shape[0]
+    if b != g.shape[0]:
+        raise ValueError(f"b={b} does not match gram shape {g.shape}")
+    if b**alpha > BRUTEFORCE_TUPLE_LIMIT:
+        raise ValueError(f"b^alpha = {b**alpha} exceeds the enumeration guard")
+    inv = 1.0 / (2.0 * sigma**2)
+    exponents = np.empty(b**alpha)
+    chunk = 1 << 14
+    tuples = itertools.product(range(b), repeat=alpha)
+    pos = 0
+    while True:
+        block = np.array(list(itertools.islice(tuples, chunk)), dtype=np.intp)
+        if block.size == 0:
+            break
+        sub = g[block[:, :, None], block[:, None, :]]
+        tot = sub.sum(axis=(1, 2)) - sub[:, np.arange(alpha), np.arange(alpha)].sum(axis=1)
+        exponents[pos : pos + block.shape[0]] = tot * inv
+        pos += block.shape[0]
+    return float((logsumexp(exponents) - alpha * math.log(b)) / (alpha - 1))
+
+
+def _tail_bound(h: np.ndarray, i: int, ref_start, sigma: float, beta: float) -> float:
+    """One problem on Gram h: candidates rows 0..i-1, excluded row i."""
+    if not 0.0 < beta < 1.0:
+        raise ValueError(f"beta must lie in (0, 1), got {beta}")
+    problems = _prepare_tails(
+        h[None], np.array([i]), None if ref_start is None else np.array([ref_start])
+    )
+    return float(_tail_bounds(problems, sigma, np.array([beta]))[0, 0])
+
+
+def tail_bound_add(mu_list, mu_i, sigma: float, beta: float) -> float:
+    """Analytic lower tail bound for the ternary loss under R = N(0, sigma^2 I)."""
+    mus = [np.asarray(m, dtype=float) for m in mu_list]
+    if not mus:
+        raise ValueError("need at least one candidate component")
+    v = np.vstack(mus + [np.asarray(mu_i, dtype=float)])
+    return _tail_bound(v @ v.T, len(mus), None, sigma, beta)
+
+
+def tail_bound_remove(mu_list, mu_i, tail_means, sigma: float, beta: float) -> float:
+    """Bisected lower tail bound under the uniform tail mixture R = avg_k N(mu_k, sigma^2 I)."""
+    mus = [np.asarray(m, dtype=float) for m in mu_list]
+    tails = [np.asarray(m, dtype=float) for m in tail_means]
+    if not mus:
+        raise ValueError("need at least one candidate component")
+    if not tails:
+        raise ValueError("the reference mixture needs at least one component")
+    v = np.vstack(mus + [np.asarray(mu_i, dtype=float)] + tails)
+    return _tail_bound(v @ v.T, len(mus), len(mus) + 1, sigma, beta)
+
+
+def mc_loss_samples_logsumexp(means, sigma, direction, n_samples, seed) -> np.ndarray:
+    """`mc.mc_loss_samples` with scipy's logsumexp: the same Philox draws in
+    the same order, reduced by the library log-sum-exp."""
+    g = gram(means)
+    b = g.shape[0]
+    factor = mc._psd_factor(g)
+    offset = np.diag(g) / (2.0 * sigma**2)
+    rng = np.random.Generator(np.random.Philox(seed))
+    out = np.empty(n_samples)
+    for pos in range(0, n_samples, mc._CHUNK):
+        m = min(mc._CHUNK, n_samples - pos)
+        u = rng.standard_normal((m, b)) @ factor.T
+        if direction == "remove":
+            y = g[rng.integers(0, b, size=m)] / sigma**2 + u / sigma
+        else:
+            y = u / sigma
+        log_ratio = logsumexp(y - offset[None, :], axis=1) - math.log(b)
+        out[pos : pos + m] = log_ratio if direction == "remove" else -log_ratio
+    return out
+
+
+def mc_delta(means, sigma, epsilon, direction, n_samples, confidence=0.95, seed=0):
+    """Hockey-stick divergence estimate E[max(1 - e^(eps - L), 0)] with CIs."""
+    losses = mc.mc_loss_samples(means, sigma, direction, n_samples, seed)
+    return mc.mc_delta_from_samples(losses, epsilon, confidence, seed)
+
+
+@dataclass(frozen=True)
+class TernaryLoss:
+    """Loss log(dP/dQ) evaluated under a third measure R (all Gaussian mixtures)."""
+
+    numerator_means: np.ndarray  # (num_components, dim)
+    denominator_mean: np.ndarray  # (dim,)
+    reference_means: np.ndarray  # (ref_components, dim)
+    sigma: float
+
+
+def ternary_loss_samples(loss: TernaryLoss, n_samples: int, seed: int) -> np.ndarray:
+    """Samples of log(dP/dQ)(x) with x ~ R, all measures spherical Gaussians."""
+    num = np.atleast_2d(np.asarray(loss.numerator_means, dtype=float))
+    den = np.asarray(loss.denominator_mean, dtype=float)
+    ref = np.atleast_2d(np.asarray(loss.reference_means, dtype=float))
+    sigma = loss.sigma
+    dim = den.size
+    if dim == 0:
+        return np.zeros(n_samples)
+    rng = np.random.Generator(np.random.Philox(seed))
+    out = np.empty(n_samples)
+    pos = 0
+    while pos < n_samples:
+        m = min(mc._CHUNK, n_samples - pos)
+        comp = rng.integers(0, ref.shape[0], size=m)
+        x = ref[comp] + sigma * rng.standard_normal((m, dim))
+        d_num = ((x[:, None, :] - num[None, :, :]) ** 2).sum(axis=2)
+        d_den = ((x - den[None, :]) ** 2).sum(axis=1)
+        out[pos : pos + m] = (
+            logsumexp(-d_num / (2.0 * sigma**2), axis=1)
+            - math.log(num.shape[0])
+            + d_den / (2.0 * sigma**2)
+        )
+        pos += m
+    return out
+
+
+def mc_exceedance(loss: TernaryLoss, tau: float, n_samples: int, seed: int) -> float:
+    """Empirical frequency of {L < tau} under the reference measure."""
+    if n_samples < 1000:
+        raise ValueError(f"need at least 1000 samples, got {n_samples}")
+    if math.isinf(tau):
+        return 0.0 if tau < 0 else 1.0
+    samples = ternary_loss_samples(loss, n_samples, seed)
+    return float(np.mean(samples < tau))

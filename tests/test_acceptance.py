@@ -17,10 +17,8 @@ from balloc.condcomp import (
     AllocationPlan,
     cond_comp_pld,
     step_hazards,
-    tail_bound_add,
-    tail_bound_remove,
 )
-from balloc.mc import TernaryLoss, mc_delta_from_samples, mc_loss_samples, mc_exceedance
+from balloc.mc import mc_delta_from_samples, mc_loss_samples
 from balloc.mechanism import (
     GramSummary,
     Schedule,
@@ -38,12 +36,18 @@ from balloc.renyi import (
     renyi_add_bound,
     renyi_curve,
     curve_delta,
-    renyi_remove_bruteforce,
     renyi_remove_dp,
     renyi_to_delta,
 )
 
-from oracles import gaussian_profile_delta
+from oracles import (
+    TernaryLoss,
+    gaussian_profile_delta,
+    mc_exceedance,
+    renyi_remove_bruteforce,
+    tail_bound_add,
+    tail_bound_remove,
+)
 
 
 def report(number, message):

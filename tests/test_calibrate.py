@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from balloc import calibrate, condcomp, mechanism
 from balloc.calibrate import (
+    SIGMA_MIN,
     PrivacyPoint,
     UnachievableTargetError,
     calibrate_sigma,
@@ -19,7 +21,7 @@ from balloc.mechanism import (
 )
 from balloc.renyi import renyi_account
 
-from oracles import gaussian_profile_delta, gaussian_profile_sigma
+from oracles import gaussian_profile_delta, gaussian_profile_sigma, smallest_sigma_bisection
 
 
 def test_single_step_gaussian_calibration():
@@ -40,7 +42,7 @@ def test_renyi_calibration_bracket_and_certificate():
     eps, delta, tol = 1.0, 1e-5, 1e-3
     sigma = calibrate_sigma("renyi", strategy, sched, eps, delta, tol=tol)
     assert renyi_account(strategy, sched, sigma, eps)[0] <= delta
-    assert renyi_account(strategy, sched, sigma * (1 - 2 * tol), eps)[0] > delta
+    assert renyi_account(strategy, sched, sigma / (1 + tol), eps)[0] > delta
 
 
 def test_sigma_monotone_in_epsilon():
@@ -62,6 +64,51 @@ def test_best_is_min_of_methods():
 def test_unachievable_target():
     with pytest.raises(UnachievableTargetError):
         smallest_sigma(lambda s: 1.0, 1e-5, 1e-3)
+
+
+def test_smallest_sigma_stops_at_sigma_min():
+    assert smallest_sigma(lambda s: 0.0, 1e-5, 1e-3) == SIGMA_MIN
+    assert smallest_sigma_bisection(lambda s: 0.0, 1e-5, 1e-3) == SIGMA_MIN
+
+
+def _synthetic_profiles():
+    """Monotone delta(sigma) curves: smooth, kinked, stuck at 1, and 0 above a sigma."""
+    gauss = lambda s: gaussian_profile_delta(1.0, s, 1.0)
+    return {
+        "gaussian": gauss,
+        "kinked": lambda s: min(gaussian_profile_delta(1.0, s, 0.5), gaussian_profile_delta(3.0, s, 4.0)),
+        "stuck-at-1": lambda s: 1.0 if s < 2.0 else gauss(s),
+        "zero-above": lambda s: 0.0 if s > 3.0 else gauss(s),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_synthetic_profiles()))
+def test_smallest_sigma_contract_against_bisection(name):
+    delta_fn = _synthetic_profiles()[name]
+    for target in (1e-12, 1e-9, 1e-6, 1e-4, 1e-2):
+        for tol in (1e-4, 1e-3, 1e-2):
+            sigma = smallest_sigma(delta_fn, target, tol)
+            assert delta_fn(sigma) <= target < delta_fn(sigma / (1 + tol)), (target, tol)
+            reference = smallest_sigma_bisection(delta_fn, target, tol)
+            assert reference / (1 + tol) <= sigma <= reference * (1 + tol), (target, tol)
+
+
+def test_condcomp_calibration_takes_few_probes(monkeypatch):
+    # Doubling from 0.25 and then bisecting took 16-17 probes here.
+    probes = []
+    search = calibrate.smallest_sigma
+
+    def counting(delta_fn, delta_target, tol):
+        def probe(sigma):
+            probes.append(sigma)
+            return delta_fn(sigma)
+
+        return search(probe, delta_target, tol)
+
+    monkeypatch.setattr(calibrate, "smallest_sigma", counting)
+    sigma = calibrate_sigma("condcomp", build_identity(6), Schedule(3, 2), 0.5, 1e-5)
+    assert sigma in probes
+    assert len(probes) <= 10
 
 
 def test_calibrate_validation():
@@ -92,15 +139,21 @@ def test_mc_reference_calibration_single_gaussian():
 
 
 def test_mc_reference_calibration_is_pinned():
-    # sigma of the Monte Carlo reference for fixed seeds, as computed before
-    # calibration probed the one-epsilon mc profile
-    sigma = calibrate_sigma_mc(
-        build_identity(4), Schedule(2, 2), 1.0, 1e-3, n_samples=10**4, seed=5
-    )
-    assert sigma == pytest.approx(2.670282146407812, rel=1e-12)
+    # The seeded Monte Carlo delta function pins the bisection oracle's sigma
+    # (the values calibration returned while it bisected); the shipped search
+    # returns another point of the same tol-bracket, so it is held to the
+    # contract on the same function.
     bsr = StrategyMatrix.from_toeplitz(sqrt_toeplitz_coefficients(3), size=8)
-    sigma = calibrate_sigma_mc(bsr, Schedule(2, 4), 2.0, 1e-3, n_samples=4000, seed=11, tol=1e-4)
-    assert sigma == pytest.approx(1.7761277483598343, rel=1e-12)
+    cases = [
+        (build_identity(4), Schedule(2, 2), 1.0, 1e-3, dict(n_samples=10**4, seed=5), 2.670282146407812),
+        (bsr, Schedule(2, 4), 2.0, 1e-4, dict(n_samples=4000, seed=11), 1.7761277483598343),
+    ]
+    for strategy, sched, eps, tol, kwargs, pinned in cases:
+        delta_fn = lambda s: profile("mc", strategy, sched, s, [eps], **kwargs)[0].delta
+        assert smallest_sigma_bisection(delta_fn, 1e-3, tol) == pytest.approx(pinned, rel=1e-12)
+        sigma = calibrate_sigma_mc(strategy, sched, eps, 1e-3, tol=tol, **kwargs)
+        assert delta_fn(sigma) <= 1e-3 < delta_fn(sigma / (1 + tol))
+        assert sigma == pytest.approx(pinned, rel=tol)
 
 
 def test_calibration_probes_the_one_epsilon_profile():
@@ -108,8 +161,31 @@ def test_calibration_probes_the_one_epsilon_profile():
     for method, kwargs in [("renyi", {}), ("condcomp", {"delta_e": 0.5e-5})]:
         sigma = calibrate_sigma(method, strategy, sched, 1.0, 1e-5, tol=1e-3)
         assert profile(method, strategy, sched, sigma, [1.0], **kwargs)[0].delta <= 1e-5
-        below = sigma * (1 - 2e-3)
+        below = sigma / (1 + 1e-3)
         assert profile(method, strategy, sched, below, [1.0], **kwargs)[0].delta > 1e-5
+
+
+def test_profile_builds_the_mixture_means_once(monkeypatch):
+    # BSR p=4 at b=20 runs its orders at several bandwidths, each of which
+    # used to rebuild the means.
+    calls = []
+    build = mechanism.mixture_means
+
+    def counting(strategy, schedule):
+        calls.append(schedule)
+        return build(strategy, schedule)
+
+    for module in (mechanism, condcomp, calibrate):
+        monkeypatch.setattr(module, "mixture_means", counting)
+    bsr = StrategyMatrix.from_toeplitz(sqrt_toeplitz_coefficients(4), size=20)
+    for method, kwargs in [
+        ("renyi", {"alpha_set": range(2, 25)}),
+        ("condcomp", {}),
+        ("mc", {"n_samples": 1000, "seed": 1}),
+    ]:
+        calls.clear()
+        profile(method, bsr, Schedule(1, 20), 1.5, [1.0, 2.0], **kwargs)
+        assert len(calls) == 1, method
 
 
 def test_profile_point_records():

@@ -21,8 +21,6 @@ from balloc.condcomp import (
     cond_comp_account,
     reverse_hazard_weights,
     step_hazards,
-    tail_bound_add,
-    tail_bound_remove,
 )
 from balloc.mechanism import (
     Schedule,
@@ -31,10 +29,19 @@ from balloc.mechanism import (
     mixture_means,
     sqrt_toeplitz_coefficients,
 )
-from balloc.mc import TernaryLoss, mc_exceedance, ternary_loss_samples
 from balloc.pld import ADD, REMOVE
 
-from oracles import _tau_core, gaussian_profile_delta, hazard_from_tail, single_step_hazards
+from oracles import (
+    TernaryLoss,
+    _tau_core,
+    gaussian_profile_delta,
+    hazard_from_tail,
+    mc_exceedance,
+    single_step_hazards,
+    tail_bound_add,
+    tail_bound_remove,
+    ternary_loss_samples,
+)
 
 
 def test_reverse_hazard_weights_cases():

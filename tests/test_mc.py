@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
 
-from balloc.mc import (
-    MCEstimate,
-    TernaryLoss,
-    mc_delta,
-    mc_delta_from_samples,
-    mc_exceedance,
-    mc_loss_samples,
+from balloc.mc import mc_delta_from_samples, mc_loss_samples
+from balloc.mechanism import (
+    Schedule,
+    StrategyMatrix,
+    build_identity,
+    mixture_means,
+    sqrt_toeplitz_coefficients,
 )
-from balloc.mechanism import Schedule, StrategyMatrix, build_identity, mixture_means
 
-from oracles import gaussian_profile_delta
+from oracles import (
+    TernaryLoss,
+    gaussian_profile_delta,
+    mc_delta,
+    mc_exceedance,
+    mc_loss_samples_logsumexp,
+)
 
 
 def test_single_gaussian_within_ci():
@@ -22,6 +27,21 @@ def test_single_gaussian_within_ci():
         assert est.ci_low <= truth <= est.ci_high
         assert est.hoeffding_low <= truth <= est.hoeffding_high
         assert est.hoeffding_low <= est.ci_low <= est.ci_high <= est.hoeffding_high
+
+
+@pytest.mark.parametrize("kind", ["identity", "bsr"])
+@pytest.mark.parametrize("b", [2, 16, 100])
+def test_loss_samples_match_the_scipy_logsumexp_form(kind, b):
+    sched = Schedule(2, b)
+    if kind == "identity":
+        strategy = build_identity(2 * b)
+    else:
+        strategy = StrategyMatrix.from_toeplitz(sqrt_toeplitz_coefficients(4), size=2 * b)
+    means = mixture_means(strategy, sched)
+    for sigma, direction in [(0.7, "remove"), (2.0, "add"), (2.0, "remove")]:
+        fast = mc_loss_samples(means, sigma, direction, 40_000, seed=b)  # two chunks
+        reference = mc_loss_samples_logsumexp(means, sigma, direction, 40_000, seed=b)
+        assert np.max(np.abs(fast - reference)) <= 1e-13
 
 
 def test_fixed_seed_is_bit_identical():

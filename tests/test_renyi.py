@@ -24,13 +24,12 @@ from balloc.renyi import (
     renyi_account,
     renyi_add_bound,
     renyi_curve,
-    renyi_remove_bruteforce,
     renyi_remove_dp,
     renyi_remove_orders,
     renyi_to_delta,
 )
 
-from oracles import collinear_add_renyi_quadrature
+from oracles import collinear_add_renyi_quadrature, renyi_remove_bruteforce
 
 
 def banded_instance(rng, b, k, width):
