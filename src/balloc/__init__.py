@@ -18,10 +18,8 @@ from .mechanism import (
 )
 from .renyi import (
     RenyiCurve,
-    renyi_account,
     renyi_add_bound,
     renyi_curve,
-    renyi_remove_dp,
     renyi_remove_orders,
     renyi_to_delta,
 )
@@ -34,12 +32,10 @@ from .pld import (
     compose_power,
     delta_at,
     discretize,
-    hockey_stick,
 )
 from .condcomp import (
     AllocationPlan,
     VariationalFamily,
-    cond_comp_account,
     cond_comp_pld,
     reverse_hazard_weights,
     step_hazards,

@@ -226,7 +226,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("gen-matrix", help="generate or import a strategy matrix file")
+    def command(name, help):
+        # No prefix matching: `calibrate` would read --delta-e as --delta-e-frac.
+        return sub.add_parser(name, help=help, allow_abbrev=False)
+
+    g = command("gen-matrix", help="generate or import a strategy matrix file")
     g.add_argument("--kind", required=True, choices=["identity", "bsr", "bisr", "toeplitz", "import"])
     g.add_argument("--n", type=int)
     g.add_argument("--bandwidth", type=int)
@@ -235,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", type=str)
     g.set_defaults(func=_cmd_gen_matrix)
 
-    def common(p, sigma=False, epsilon=False):
+    def common(p, sigma=False, epsilon=False, delta_e=False, seed=False):
         p.add_argument("--matrix", required=True)
         p.add_argument("--epochs", type=int, required=True)
         p.add_argument("--batches", type=int, required=True)
@@ -245,17 +249,19 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--epsilon", type=float, required=True)
         p.add_argument("--alpha-max", type=int, default=64)
         p.add_argument("--bandwidth", type=int, default=None)
-        p.add_argument("--delta-e", type=float, default=1e-6)
+        if delta_e:
+            p.add_argument("--delta-e", type=float, default=1e-6)
         p.add_argument("--allocation", choices=list(condcomp.STRATEGIES), default="hybrid")
-        p.add_argument("--seed", type=int, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=None)
 
-    a = sub.add_parser("account", help="delta at a fixed (sigma, epsilon)")
-    common(a, sigma=True, epsilon=True)
+    a = command("account", help="delta at a fixed (sigma, epsilon)")
+    common(a, sigma=True, epsilon=True, delta_e=True, seed=True)
     a.add_argument("--method", required=True, choices=["renyi", "condcomp", "mc", "best"])
     a.add_argument("--samples", type=int, default=10**6)
     a.set_defaults(func=_cmd_account)
 
-    c = sub.add_parser("calibrate", help="smallest sigma reaching (epsilon, delta)")
+    c = command("calibrate", help="smallest sigma reaching (epsilon, delta)")
     common(c, epsilon=True)
     c.add_argument("--method", required=True, choices=["renyi", "condcomp", "best"])
     c.add_argument("--delta", type=float, required=True)
@@ -263,16 +269,16 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--delta-e-frac", type=float, default=0.5)
     c.set_defaults(func=_cmd_calibrate)
 
-    p = sub.add_parser("profile", help="delta(epsilon) sweep as CSV")
-    common(p, sigma=True)
+    p = command("profile", help="delta(epsilon) sweep as CSV")
+    common(p, sigma=True, delta_e=True, seed=True)
     p.add_argument("--method", required=True, choices=["renyi", "condcomp", "mc", "best"])
     p.add_argument("--epsilons", required=True)
     p.add_argument("--samples", type=int, default=10**5)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=_cmd_profile)
 
-    m = sub.add_parser("compare", help="calibrated sigma per method over an epsilon grid")
-    common(m)
+    m = command("compare", help="calibrated sigma per method over an epsilon grid")
+    common(m, seed=True)
     m.add_argument("--delta", type=float, required=True)
     m.add_argument("--epsilons", required=True)
     m.add_argument("--tol", type=float, default=1e-3)
@@ -288,7 +294,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, OSError) as exc:

@@ -408,23 +408,3 @@ def cond_comp_pld(
         ]
         out[direction] = _compose_steps(pairs, grid_spacing)
     return out
-
-
-def cond_comp_account(
-    strategy: StrategyMatrix,
-    schedule: Schedule,
-    sigma: float,
-    epsilon: float,
-    delta_e: float,
-    allocation: str = "hybrid",
-) -> tuple[float, dict]:
-    """(delta, per-direction composed delta) at epsilon; delta adds delta_e.
-
-    The one-epsilon readout of `calibrate.profile`, zero-mechanism rule included.
-    """
-    from .calibrate import profile
-
-    point = profile(
-        "condcomp", strategy, schedule, sigma, [epsilon], delta_e=delta_e, allocation=allocation
-    )[0]
-    return point.delta, point.breakdown

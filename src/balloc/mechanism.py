@@ -117,7 +117,6 @@ class StrategyMatrix:
 class MixtureMeans:
     """Per-batch dominating-pair means: means[i-1] = sum_j |C|[:, i + j*b]."""
 
-    schedule: Schedule
     means: np.ndarray  # (b, N), non-negative
 
 
@@ -222,7 +221,7 @@ def mixture_means(strategy: StrategyMatrix, schedule: Schedule) -> MixtureMeans:
         a = np.abs(strategy.data)
         for i in range(b):
             means[i] = a[:, i + b * np.arange(k)].sum(axis=1)
-    return MixtureMeans(schedule=schedule, means=_freeze(means))
+    return MixtureMeans(means=_freeze(means))
 
 
 def gram(means: MixtureMeans) -> np.ndarray:

@@ -190,22 +190,9 @@ def _delta_terms(pair: MixGaussPair, epsilons: np.ndarray) -> tuple[np.ndarray, 
     return first, second
 
 
-def _delta_grid(pair: MixGaussPair, epsilons: np.ndarray) -> np.ndarray:
-    """Exact hockey-stick divergence at each epsilon (vectorized)."""
-    first, second = _delta_terms(pair, epsilons)
-    return np.clip(first - second, 0.0, 1.0)
-
-
 def identical_pair_delta(epsilon: float) -> float:
     """Hockey-stick divergence of any distribution against itself at e^epsilon."""
     return max(0.0, -math.expm1(epsilon))
-
-
-def hockey_stick(pair: MixGaussPair, epsilon: float) -> float:
-    """Exact hockey-stick divergence of the pair at e^epsilon."""
-    if pair.degenerate:
-        return identical_pair_delta(epsilon)
-    return float(_delta_grid(pair, np.array([epsilon]))[0])
 
 
 def _mixture_tail_outcome(pair: MixGaussPair, lower: bool) -> float:
@@ -263,11 +250,6 @@ class DiscretePLD:
     pmf: np.ndarray
     infinity_mass: float
 
-    @property
-    def origin(self) -> int:
-        """Index of loss 0 in pmf coordinates (may fall outside the support)."""
-        return -self.lo_index
-
     def losses(self) -> np.ndarray:
         return (self.lo_index + np.arange(self.pmf.size)) * self.h
 
@@ -290,7 +272,7 @@ def discretize(pair: MixGaussPair, h: float) -> DiscretePLD:
     beyond the top grid point, at most TAIL_MASS, becomes infinity_mass
     (charged as that tail's own mass, not as delta there, which cancels to 0
     in float), both of which only raise delta.  The induced delta therefore
-    upper-bounds hockey_stick(pair, epsilon) everywhere.
+    upper-bounds the pair's exact hockey-stick divergence at every epsilon.
     """
     if h <= 0:
         raise ValueError(f"grid spacing must be positive, got {h}")

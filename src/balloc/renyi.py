@@ -222,11 +222,6 @@ def renyi_remove_orders(summary: GramSummary, alpha_max: int) -> np.ndarray:
     return np.maximum(0.0, rho + summary.tau * orders / (2.0 * sigma**2))
 
 
-def renyi_remove_dp(summary: GramSummary, alpha: int) -> float:
-    """Remove-direction divergence at one order; see renyi_remove_orders."""
-    return float(renyi_remove_orders(summary, alpha)[-1])
-
-
 def renyi_add_bound(g, sigma: float, alpha: int) -> float:
     """Add-direction bound: trace and total-sum functionals of the full Gram."""
     g = np.asarray(g, dtype=float)
@@ -338,23 +333,3 @@ def curve_delta(curve: RenyiCurve, epsilon: float) -> tuple[float, int]:
         if d < best[0]:
             best = (d, a)
     return best
-
-
-def renyi_account(
-    strategy: StrategyMatrix,
-    schedule: Schedule,
-    sigma: float,
-    epsilon: float,
-    alpha_set=DEFAULT_ALPHAS,
-    bandwidth: int | None = None,
-) -> tuple[float, int]:
-    """(delta, alpha) at epsilon via max(remove, add) divergence, optimized over orders.
-
-    The one-epsilon readout of `calibrate.profile`, zero-mechanism rule included.
-    """
-    from .calibrate import profile
-
-    point = profile(
-        "renyi", strategy, schedule, sigma, [epsilon], alpha_set=alpha_set, bandwidth=bandwidth
-    )[0]
-    return point.delta, point.alpha

@@ -13,7 +13,7 @@ from balloc import mc
 from balloc.calibrate import SIGMA_MAX, SIGMA_MIN, UnachievableTargetError
 from balloc.condcomp import DEFAULT_FAMILY, IDENTICAL_SQ_TOL, _prepare_tails, _tail_bounds
 from balloc.mechanism import gram
-from balloc.pld import _mix_loss
+from balloc.pld import _delta_terms, _mix_loss, identical_pair_delta
 from balloc.renyi import _check_alpha
 
 
@@ -90,6 +90,19 @@ def hockey_stick_quadrature(means, weights, sigma, epsilon, direction) -> float:
         f = lambda y: max(q(y) - np.exp(epsilon) * p(y), 0.0)
     val, _ = quad(f, -lim, lim, limit=2000, epsabs=1e-12)
     return float(val)
+
+
+def hockey_stick_grid(pair, epsilons) -> np.ndarray:
+    """Exact hockey-stick divergence of a non-degenerate pair at each epsilon."""
+    first, second = _delta_terms(pair, np.asarray(epsilons, dtype=float))
+    return np.clip(first - second, 0.0, 1.0)
+
+
+def hockey_stick(pair, epsilon: float) -> float:
+    """Exact hockey-stick divergence of the pair at e^epsilon."""
+    if pair.degenerate:
+        return identical_pair_delta(epsilon)
+    return float(hockey_stick_grid(pair, [epsilon])[0])
 
 
 def mix_loss_inverse_bisection(pair, ell) -> np.ndarray:

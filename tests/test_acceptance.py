@@ -32,11 +32,10 @@ from balloc.mechanism import (
 )
 from balloc.pld import ADD, REMOVE, MixGaussPair, compose, delta_at, discretize
 from balloc.renyi import (
-    renyi_account,
     renyi_add_bound,
     renyi_curve,
     curve_delta,
-    renyi_remove_dp,
+    renyi_remove_orders,
     renyi_to_delta,
 )
 
@@ -77,7 +76,7 @@ def test_criterion_1_dp_equals_bruteforce():
             alpha = int(rng.choice([2, 3, 4]))
             summary = GramSummary(g, p, banded, tau, sigma)
             gap = abs(
-                renyi_remove_dp(summary, alpha)
+                renyi_remove_orders(summary, alpha)[-1]
                 - renyi_remove_bruteforce(g, sigma, alpha)
             )
             worst = max(worst, gap)
@@ -96,11 +95,11 @@ def test_criterion_2_known_closed_forms():
             g = np.array([[g00]])
             expected = alpha * g00 / (2.0 * sigma**2)
             summary = GramSummary(g, 1, g, 0.0, sigma)
-            assert renyi_remove_dp(summary, alpha) == expected
+            assert renyi_remove_orders(summary, alpha)[-1] == expected
             assert renyi_add_bound(g, sigma, alpha) == expected
         target = math.log((2.0 * math.e + 2.0) / 4.0)
         summary = GramSummary(np.eye(2), 1, np.eye(2), 0.0, 1.0)
-        assert abs(renyi_remove_dp(summary, 2) - target) <= 1e-12
+        assert abs(renyi_remove_orders(summary, 2)[-1] - target) <= 1e-12
         assert abs(renyi_remove_bruteforce(np.eye(2), 1.0, 2) - target) <= 1e-12
     except AssertionError:
         _fail_report(2)
@@ -236,7 +235,7 @@ def test_criterion_7_complexity_scaling():
 
     cases = [(b, a) for b in (500, 1000) for a in (16, 32)]
     for b, a in cases:
-        renyi_remove_dp(summaries[b], a)  # warmup
+        renyi_remove_orders(summaries[b], a)  # warmup
     # Each round times the four (b, alpha) cases back to back, one call each,
     # and yields its own ratios.  Machine-speed drift (it moves single calls
     # by up to 30% within a second) mostly hits both sides of a round's
@@ -246,7 +245,7 @@ def test_criterion_7_complexity_scaling():
         t = {}
         for b, a in cases:
             t0 = time.perf_counter()
-            renyi_remove_dp(summaries[b], a)
+            renyi_remove_orders(summaries[b], a)
             t[(b, a)] = time.perf_counter() - t0
         ratios.append([
             t[(1000, 16)] / t[(500, 16)],

@@ -11,7 +11,6 @@ from balloc.calibrate import (
     profile,
     smallest_sigma,
 )
-from balloc.condcomp import cond_comp_account
 from balloc.mc import MCEstimate
 from balloc.mechanism import (
     Schedule,
@@ -19,7 +18,6 @@ from balloc.mechanism import (
     build_identity,
     sqrt_toeplitz_coefficients,
 )
-from balloc.renyi import renyi_account
 
 from oracles import gaussian_profile_delta, gaussian_profile_sigma, smallest_sigma_bisection
 
@@ -41,8 +39,8 @@ def test_renyi_calibration_bracket_and_certificate():
     sched = Schedule(2, 5)
     eps, delta, tol = 1.0, 1e-5, 1e-3
     sigma = calibrate_sigma("renyi", strategy, sched, eps, delta, tol=tol)
-    assert renyi_account(strategy, sched, sigma, eps)[0] <= delta
-    assert renyi_account(strategy, sched, sigma / (1 + tol), eps)[0] > delta
+    assert profile("renyi", strategy, sched, sigma, [eps])[0].delta <= delta
+    assert profile("renyi", strategy, sched, sigma / (1 + tol), [eps])[0].delta > delta
 
 
 def test_sigma_monotone_in_epsilon():
@@ -196,12 +194,10 @@ def test_profile_point_records():
     c = profile("condcomp", strategy, sched, 1.5, grid, delta_e=1e-7)
     b = profile("best", strategy, sched, 1.5, grid, alpha_set=range(2, 13), delta_e=1e-7)
     m = profile("mc", strategy, sched, 1.5, grid, n_samples=5000, seed=3)
-    for j, e in enumerate(grid):
-        delta, alpha = renyi_account(strategy, sched, 1.5, e, alpha_set=range(2, 13))
-        assert (r[j].delta, r[j].alpha) == (delta, alpha)
-        assert max(r[j].breakdown.values()) == delta
-        delta, per_direction = cond_comp_account(strategy, sched, 1.5, e, 1e-7)
-        assert (c[j].delta, c[j].breakdown, c[j].alpha) == (delta, per_direction, None)
+    for j in range(len(grid)):
+        assert max(r[j].breakdown.values()) == r[j].delta
+        assert c[j].delta == min(1.0, max(c[j].breakdown.values()) + 1e-7)
+        assert c[j].alpha is None
         assert b[j].breakdown == {"renyi": r[j].delta, "condcomp": c[j].delta}
         assert (b[j].delta, b[j].alpha, b[j].method) == (min(r[j].delta, c[j].delta), r[j].alpha, "best")
         assert set(m[j].breakdown) == {"remove", "add"}
@@ -212,11 +208,11 @@ def test_profile_point_records():
 
 @pytest.mark.parametrize("kind", ["zero", "identity"])
 @pytest.mark.parametrize("call", [
-    lambda m, s: renyi_account(m, s, -1.0, 1.0),
-    lambda m, s: renyi_account(m, s, 1.0, 1.0, bandwidth=3),
-    lambda m, s: cond_comp_account(m, s, -1.0, 1.0, 1e-6),
-    lambda m, s: cond_comp_account(m, s, 1.0, 1.0, 5.0),
-    lambda m, s: cond_comp_account(m, s, 1.0, 1.0, 1e-6, allocation="bogus"),
+    lambda m, s: profile("renyi", m, s, -1.0, [1.0]),
+    lambda m, s: profile("renyi", m, s, 1.0, [1.0], bandwidth=3),
+    lambda m, s: profile("condcomp", m, s, -1.0, [1.0], delta_e=1e-6),
+    lambda m, s: profile("condcomp", m, s, 1.0, [1.0], delta_e=0.0),
+    lambda m, s: profile("condcomp", m, s, 1.0, [1.0], allocation="bogus"),
     lambda m, s: profile("renyi", m, s, 1.0, [1.0], bandwidth=0),
     lambda m, s: profile("condcomp", m, s, 1.0, [1.0], delta_e=5.0),
     lambda m, s: profile("best", m, s, -1.0, [1.0]),

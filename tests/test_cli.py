@@ -17,7 +17,7 @@ from balloc.mechanism import (
     sqrt_toeplitz_coefficients,
     write_matrix,
 )
-from balloc.renyi import renyi_account, renyi_curve, renyi_to_delta
+from balloc.renyi import renyi_curve, renyi_to_delta
 
 
 @pytest.fixture()
@@ -77,9 +77,9 @@ def test_account_renyi_passthrough(identity4, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["schema"] == 1
-    expected, alpha = renyi_account(build_identity(4), Schedule(2, 2), 1.0, 1.0)
-    assert payload["delta"] == pytest.approx(expected, rel=1e-9)
-    assert payload["alpha"] == alpha
+    point = profile("renyi", build_identity(4), Schedule(2, 2), 1.0, [1.0])[0]
+    assert payload["delta"] == pytest.approx(point.delta, rel=1e-9)
+    assert payload["alpha"] == point.alpha
     assert set(payload["direction_breakdown"]) == {"remove", "add"}
 
 
@@ -278,7 +278,7 @@ def test_calibrate_command(identity4, capsys):
     )
     assert code == 0
     sigma = float(out.strip())
-    assert renyi_account(build_identity(4), Schedule(2, 2), sigma, 1.0)[0] <= 1e-5
+    assert profile("renyi", build_identity(4), Schedule(2, 2), sigma, [1.0])[0].delta <= 1e-5
 
 
 @pytest.mark.parametrize("fraction", ["0", "1", "1.5"])
@@ -335,6 +335,24 @@ def test_compare_csv(tmp_path, capsys):
     assert len(lines) == 3
     for line in lines[1:]:
         assert len(line.split(",")) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--method", "condcomp", "--epsilon", "1", "--delta", "1e-5",
+     "--delta-e", "1e-9"],
+    ["calibrate", "--method", "condcomp", "--epsilon", "1", "--delta", "1e-5", "--seed", "7"],
+    ["compare", "--delta", "1e-3", "--epsilons", "1", "--seed", "1", "--delta-e", "0.9"],
+    ["calibrate", "--method", "condcomp", "--epsilon", "1", "--delta", "1e-5",
+     "--delta-e-f", "0.4"],
+], ids=["calibrate-delta-e", "calibrate-seed", "compare-delta-e", "calibrate-abbreviation"])
+def test_flag_the_command_does_not_read_is_usage_error(identity4, capsys, argv):
+    # A delta_E the command would ignore must not pass silently, nor be read
+    # as a prefix of --delta-e-frac.
+    with pytest.raises(SystemExit) as exited:  # argparse exits on its own
+        main(argv + ["--matrix", identity4, "--epochs", "2", "--batches", "2"])
+    captured = capsys.readouterr()
+    assert exited.value.code == 2
+    assert "unrecognized arguments" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("bandwidth", ["0", "-3", "3"])

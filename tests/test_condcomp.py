@@ -12,13 +12,13 @@ from scipy.stats import norm
 
 import balloc
 from balloc import condcomp
+from balloc.calibrate import profile
 from balloc.condcomp import (
     AllocationPlan,
     DEFAULT_FAMILY,
     STRATEGIES,
     VariationalFamily,
     apply_sharing,
-    cond_comp_account,
     reverse_hazard_weights,
     step_hazards,
 )
@@ -36,6 +36,7 @@ from oracles import (
     _tau_core,
     gaussian_profile_delta,
     hazard_from_tail,
+    hockey_stick,
     mc_exceedance,
     single_step_hazards,
     tail_bound_add,
@@ -562,7 +563,7 @@ def test_small_delta_floor_is_pessimistic(kind, epochs, batches, sigma):
             if batches == 1:
                 floor = gaussian_profile_delta(math.sqrt(float(np.sum(means.means**2))), sigma, eps)
             else:
-                floor = max(condcomp.pld.hockey_stick(pair, eps) for pair in pairs)
+                floor = max(hockey_stick(pair, eps) for pair in pairs)
             assert delta >= floor - 1e-15
             assert delta >= composed[direction].infinity_mass
 
@@ -570,28 +571,32 @@ def test_small_delta_floor_is_pessimistic(kind, epochs, batches, sigma):
 def test_cond_comp_monotone_in_sigma_and_epsilon():
     strategy = build_identity(8)
     sched = Schedule(2, 4)
-    deltas_eps = [cond_comp_account(strategy, sched, 1.0, e, 1e-6)[0] for e in (0.5, 1.0, 2.0)]
+    deltas_eps = [
+        profile("condcomp", strategy, sched, 1.0, [e], delta_e=1e-6)[0].delta
+        for e in (0.5, 1.0, 2.0)
+    ]
     assert all(a >= b for a, b in zip(deltas_eps, deltas_eps[1:]))
-    deltas_sig = [cond_comp_account(strategy, sched, s, 1.0, 1e-6)[0] for s in (0.7, 1.0, 2.0)]
+    deltas_sig = [
+        profile("condcomp", strategy, sched, s, [1.0], delta_e=1e-6)[0].delta
+        for s in (0.7, 1.0, 2.0)
+    ]
     assert all(a >= b for a, b in zip(deltas_sig, deltas_sig[1:]))
 
 
 def test_cond_comp_zero_mechanism():
     zero = StrategyMatrix.from_dense(np.zeros((4, 4)))
-    assert cond_comp_account(zero, Schedule(2, 2), 1.0, 0.5, 1e-6) == (
-        0.0, {REMOVE: 0.0, ADD: 0.0}
-    )
+    point = profile("condcomp", zero, Schedule(2, 2), 1.0, [0.5], delta_e=1e-6)[0]
+    assert (point.delta, point.breakdown) == (0.0, {REMOVE: 0.0, ADD: 0.0})
     # Below epsilon = 0 even an identical pair has delta = 1 - e^epsilon, in each direction.
     delta = -math.expm1(-1.0)
-    assert cond_comp_account(zero, Schedule(2, 2), 1.0, -1.0, 1e-6) == (
-        delta, {REMOVE: delta, ADD: delta}
-    )
+    point = profile("condcomp", zero, Schedule(2, 2), 1.0, [-1.0], delta_e=1e-6)[0]
+    assert (point.delta, point.breakdown) == (delta, {REMOVE: delta, ADD: delta})
 
 
 def test_cond_comp_details_directions():
-    delta, per = cond_comp_account(build_identity(6), Schedule(2, 3), 1.0, 1.0, 1e-6)
-    assert set(per) == {REMOVE, ADD}
-    assert delta == pytest.approx(min(1.0, max(per.values()) + 1e-6))
+    point = profile("condcomp", build_identity(6), Schedule(2, 3), 1.0, [1.0], delta_e=1e-6)[0]
+    assert set(point.breakdown) == {REMOVE, ADD}
+    assert point.delta == pytest.approx(min(1.0, max(point.breakdown.values()) + 1e-6))
 
 
 def test_hazard_trace_script_smoke():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from balloc.calibrate import profile
 from balloc.mc import mc_delta_from_samples, mc_loss_samples
 from balloc.mechanism import (
     Schedule,
@@ -110,15 +111,12 @@ def test_zero_dimension_prefix_loss_is_zero():
 
 
 def test_deterministic_bounds_dominate_mc_small_instance():
-    from balloc.renyi import renyi_account
-    from balloc.condcomp import cond_comp_account
-
     strategy = build_identity(12)
     sched = Schedule(2, 6)
     means = mixture_means(strategy, sched)
     for sigma, eps in [(1.0, 1.0), (2.0, 0.5)]:
-        det_r = renyi_account(strategy, sched, sigma, eps)[0]
-        det_c = cond_comp_account(strategy, sched, sigma, eps, 1e-7)[0]
+        det_r = profile("renyi", strategy, sched, sigma, [eps])[0].delta
+        det_c = profile("condcomp", strategy, sched, sigma, [eps], delta_e=1e-7)[0].delta
         for direction in ("remove", "add"):
             est = mc_delta(means, sigma, eps, direction, 10**5, seed=11)
             floor = est.point_estimate - (est.ci_high - est.point_estimate)

@@ -22,18 +22,22 @@ from balloc.pld import (
     compose_power,
     delta_at,
     discretize,
-    hockey_stick,
     point_mass_pld,
 )
 from balloc.pld import (
     _convolve,
-    _delta_grid,
     _loss_range,
     _mix_loss_inverse,
     _mix_loss_slope,
 )
 
-from oracles import gaussian_profile_delta, hockey_stick_quadrature, mix_loss_inverse_bisection
+from oracles import (
+    gaussian_profile_delta,
+    hockey_stick,
+    hockey_stick_grid,
+    hockey_stick_quadrature,
+    mix_loss_inverse_bisection,
+)
 
 
 def random_pair(rng, max_components=3):
@@ -269,10 +273,10 @@ def test_newton_threshold_matches_bisection_oracle(monkeypatch):
         tol = 1e-13 * pair.sigma + 4.0 * np.spacing(np.abs(y_oracle)) + flat
         assert np.all(np.abs(y - y_oracle) <= tol)
 
-        deltas = _delta_grid(pair, eps)
+        deltas = hockey_stick_grid(pair, eps)
         with monkeypatch.context() as m:
             m.setattr(pld_module, "_mix_loss_inverse", mix_loss_inverse_bisection)
-            oracle = _delta_grid(pair, eps)
+            oracle = hockey_stick_grid(pair, eps)
         assert np.all(np.abs(deltas - oracle) <= np.maximum(1e-12 * oracle, 1e-15))
 
 

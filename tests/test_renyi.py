@@ -19,12 +19,11 @@ from balloc.mechanism import (
     sqrt_toeplitz_coefficients,
 )
 from balloc import renyi
+from balloc.calibrate import profile
 from balloc.renyi import (
     _affordable_bandwidth,
-    renyi_account,
     renyi_add_bound,
     renyi_curve,
-    renyi_remove_dp,
     renyi_remove_orders,
     renyi_to_delta,
 )
@@ -61,13 +60,14 @@ def test_bruteforce_guard():
 
 def test_dp_matches_bruteforce_dpsgd_case():
     su = summary_for(np.eye(2), 1, 1.0)
-    assert renyi_remove_dp(su, 2) == pytest.approx(math.log((2 * math.e + 2) / 4), abs=1e-12)
+    target = math.log((2 * math.e + 2) / 4)
+    assert renyi_remove_orders(su, 2)[-1] == pytest.approx(target, abs=1e-12)
 
 
 def test_dp_single_batch_closed_form():
     su = summary_for(np.array([[3.0]]), 1, 2.0)
     for alpha in (2, 3, 17):
-        assert renyi_remove_dp(su, alpha) == pytest.approx(
+        assert renyi_remove_orders(su, alpha)[-1] == pytest.approx(
             alpha * 3.0 / (2 * 4.0), abs=1e-12
         )
 
@@ -83,7 +83,7 @@ def test_dp_matches_bruteforce_banded_random():
         su = summary_for(g, p, sigma)
         assert su.tau == 0.0
         for alpha in (2, 3, 4):
-            dp = renyi_remove_dp(su, alpha)
+            dp = renyi_remove_orders(su, alpha)[-1]
             bf = renyi_remove_bruteforce(g, sigma, alpha)
             assert abs(dp - bf) < 1e-9
 
@@ -102,9 +102,9 @@ def test_dp_matches_bruteforce_at_every_bandwidth(p, offset):
     assert exact.tau == 0.0
     assert (truncated.tau > 0.0) == (b > 2 * p)
     for alpha in (2, 3, 4):
-        rho = renyi_remove_dp(exact, alpha)
+        rho = renyi_remove_orders(exact, alpha)[-1]
         assert abs(rho - renyi_remove_bruteforce(exact.gram, sigma, alpha)) < 1e-9
-        bound = renyi_remove_dp(truncated, alpha)
+        bound = renyi_remove_orders(truncated, alpha)[-1]
         assert bound >= renyi_remove_bruteforce(truncated.gram, sigma, alpha) - 1e-12
 
 
@@ -116,7 +116,8 @@ def test_dp_upper_bounds_bruteforce_with_truncation():
         su = summary_for(g, p, 1.0)
         assert su.tau > 0.0
         for alpha in (2, 3):
-            assert renyi_remove_dp(su, alpha) >= renyi_remove_bruteforce(g, 1.0, alpha) - 1e-12
+            rho = renyi_remove_orders(su, alpha)[-1]
+            assert rho >= renyi_remove_bruteforce(g, 1.0, alpha) - 1e-12
 
 
 def test_dp_bandwidth_monotone():
@@ -125,7 +126,7 @@ def test_dp_bandwidth_monotone():
     g = gram(mixture_means(strategy, Schedule(2, 6)))
     rng = np.random.default_rng(3)
     for alpha in (2, 3, 4):
-        rhos = [renyi_remove_dp(summary_for(g, p, 1.0), alpha) for p in range(1, 7)]
+        rhos = [renyi_remove_orders(summary_for(g, p, 1.0), alpha)[-1] for p in range(1, 7)]
         assert all(a >= b - 1e-12 for a, b in zip(rhos, rhos[1:]))
 
 
@@ -136,7 +137,8 @@ def test_dp_bsr_small_instance_vs_bruteforce():
     su = summary_for(g, 4, 1.0)
     assert su.tau == 0.0  # bandwidth-4 factor gives a 4-cyclic-banded Gram
     for alpha in (2, 3, 4):
-        assert abs(renyi_remove_dp(su, alpha) - renyi_remove_bruteforce(g, 1.0, alpha)) < 1e-9
+        rho = renyi_remove_orders(su, alpha)[-1]
+        assert abs(rho - renyi_remove_bruteforce(g, 1.0, alpha)) < 1e-9
 
 
 def test_add_bound_cases():
@@ -185,7 +187,7 @@ def test_renyi_to_delta_monotone(rho, alpha, eps1, gap):
 def test_account_single_gaussian_reduction():
     # b = 1, k = 1: the pair is a plain Gaussian and rho = alpha/(2 sigma^2)
     sigma, eps = 1.3, 1.0
-    delta, alpha = renyi_account(build_identity(1), Schedule(1, 1), sigma, eps)
+    delta = profile("renyi", build_identity(1), Schedule(1, 1), sigma, [eps])[0].delta
     manual = min(
         renyi_to_delta(a / (2 * sigma**2), a, eps) for a in range(2, 65)
     )
@@ -195,18 +197,17 @@ def test_account_single_gaussian_reduction():
 def test_account_monotone_in_epsilon_and_sigma():
     strategy = build_identity(20)
     sched = Schedule(2, 10)
-    deltas = [renyi_account(strategy, sched, 1.0, e)[0] for e in (0.5, 1.0, 2.0, 4.0)]
+    deltas = [profile("renyi", strategy, sched, 1.0, [e])[0].delta for e in (0.5, 1.0, 2.0, 4.0)]
     assert all(a >= b for a, b in zip(deltas, deltas[1:]))
-    deltas_sigma = [renyi_account(strategy, sched, s, 1.0)[0] for s in (0.5, 1.0, 2.0)]
+    deltas_sigma = [profile("renyi", strategy, sched, s, [1.0])[0].delta for s in (0.5, 1.0, 2.0)]
     assert all(a >= b for a, b in zip(deltas_sigma, deltas_sigma[1:]))
 
 
 def test_account_zero_mechanism_gives_zero_delta():
     zero = StrategyMatrix.from_dense(np.zeros((4, 4)))
-    delta, _ = renyi_account(zero, Schedule(2, 2), 1.0, 0.5)
-    assert delta == 0.0
+    assert profile("renyi", zero, Schedule(2, 2), 1.0, [0.5])[0].delta == 0.0
     with pytest.raises(ValueError, match="bandwidth"):
-        renyi_account(zero, Schedule(2, 2), 1.0, 0.5, bandwidth=0)
+        profile("renyi", zero, Schedule(2, 2), 1.0, [0.5], bandwidth=0)
 
 
 def test_curve_exactness_flag():
@@ -233,7 +234,7 @@ def test_curve_adapts_bandwidth_for_expensive_orders():
 def test_alpha_validation():
     su = summary_for(np.eye(2), 1, 1.0)
     with pytest.raises(ValueError):
-        renyi_remove_dp(su, 1)
+        renyi_remove_orders(su, 1)
     with pytest.raises(ValueError):
         renyi_to_delta(-0.1, 2, 1.0)
     with pytest.raises(ValueError):
@@ -273,7 +274,7 @@ def test_one_pass_matches_per_order_evaluation(path):
     rho = renyi_remove_orders(su, top)
     assert rho.shape == (top - 1,)
     for a in range(2, top + 1):
-        single = renyi_remove_dp(su, a)
+        single = renyi_remove_orders(su, a)[-1]
         assert rho[a - 2] == pytest.approx(single, rel=1e-12, abs=1e-300)
 
 
@@ -293,7 +294,7 @@ def test_curve_bandwidth_and_exact_flags_per_order():
             su = gram_summary(strategy, schedule, 1.0, _affordable_bandwidth(b, cap, a))
             assert curve.exact[j] == (su.tau == 0.0)
             assert curve.rho_remove[j] == pytest.approx(
-                renyi_remove_dp(su, a), rel=1e-12
+                renyi_remove_orders(su, a)[-1], rel=1e-12
             )
 
 
