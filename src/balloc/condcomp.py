@@ -9,25 +9,47 @@ sampled under a reference measure that depends on the adjacency direction.
 Tail bounds use variational (ELBO) lower bounds on the mixture loss, which are
 Gaussian (or mixtures of Gaussians) with closed-form parameters.
 
+Which hazards a pair reads.  Sort a step's scalar means m_1 <= ... <= m_b and
+let t be the size of the lowest tie group (m_1 = ... = m_t, compared exactly).
+The conditional-composition theorem covers the step by the pair when,
+outside the bad event, the posterior's mixing law over the means is
+stochastically dominated by the pair's: Pr[mean >= x] no larger at every
+x.  Both laws live on the distinct levels of the means, so that is one
+inequality per level, on the tail mass T_i = sum_{j>=i} w_j at the level's
+first rank i.  With w_i = l_i prod_{j>i} (1 - l_j) and l_1 = 1 the head
+telescopes, sum_{j<i} w_j = prod_{j>=i} (1 - l_j), so T_i = 1 - prod_{j>=i}
+(1 - l_j) reads the hazards at ranks i and up only, and bounding each of
+them from above raises T_i.  The lowest level has T_1 = 1 whatever the
+hazards, and every higher level starts above rank t: the hazards at ranks
+2..t are never read.  `step_hazards` leaves them at exactly _HAZARD_FLOOR,
+and MixGaussPair's merge of equal means folds their vanishing weights into
+the lowest level, whose weight is then prod_{j>t} (1 - l_j) as with any
+other hazards there.  The delta_E ledger
+still charges every rank 2..b, so the union of failure events of the bounds
+actually relied on stays within delta_E.
+
 `step_hazards` is the one hazard engine: it walks the steps once, keeping the
-prefix Gram matrix up to date, and bounds every component rank of every step,
-batched over chunks of steps whose (step, rank, member, group) tensor fits a
-constant budget of _HAZARD_CHUNK_ELEMENTS.  Per chunk, `_prepare_tails`
-builds the sigma-free part of every problem at once (sorted prefix Grams,
-variational members, KL and quadratic forms, and the remove direction's
-reference terms) and `_tail_bounds` evaluates it at sigma: closed form for
-the add direction, one vectorized bisection over every remove column, each
-returning its pessimistic (lower) end.  A remove term's mean at sigma is
-nu/sigma^2 plus a constant of its (step, rank, member), with nu sigma-free,
-so terms of equal nu are equal at every sigma: the preparation merges them
-once, summing their weights, and the bisection sees one term per distinct
-mean: at most 2 per bound on DP-SGD (k <= 4, b <= 100 tried), whose Grams
-hold up to b distinct rows.
+prefix Gram matrix up to date, and lays every read (step, rank) bound out on
+one flat problem axis, bounded in chunks whose (problem, member, row) tensor
+fits a constant budget of _HAZARD_CHUNK_ELEMENTS.  Per chunk, `_prepare_tails`
+builds the sigma-free part of every problem at once from its gathered sorted
+prefix Gram (variational members, KL and quadratic forms, and the remove
+direction's reference terms) and `_tail_bounds` evaluates it at sigma: closed
+form for the add direction, one vectorized bisection over every remove
+column, each returning its pessimistic (lower) end.  A remove term's mean at
+sigma is nu/sigma^2 plus a constant of its (problem, member), with nu
+sigma-free, so terms of equal nu are equal at every sigma: the preparation
+merges them once, summing their weights, and the bisection sees one term per
+distinct mean: at most 2 per bound on DP-SGD (k <= 4, b <= 100 tried), whose
+Grams hold up to b distinct rows.
 
 The delta_E failure budget is split by `AllocationPlan.blocks`, one table of
 (first step, last step, significance) per shared hazard vector for the chosen
 strategy; `apply_sharing` takes the componentwise max within each block, and
-the resulting per-step pairs compose through the PLD engine.
+the resulting per-step pairs compose through the PLD engine.  Every step of a
+block bounds the union of the block's read ranks, a suffix from the block's
+smallest t, so that max is the same as over fully bounded steps wherever any
+step of the block reads it.
 """
 
 from __future__ import annotations
@@ -49,7 +71,7 @@ DEFAULT_TEMPERATURES = (math.inf, 0.1, 10.0**-0.5, 1.0, 10.0**0.5, 10.0)
 
 STRATEGIES = ("union", "global-max", "hybrid")
 _HAZARD_FLOOR = 1e-300
-# Elements of the (step, rank, member, group) tensor bounded per chunk of steps.
+# Elements of the (problem, member, row) tensor bounded per chunk of problems.
 _HAZARD_CHUNK_ELEMENTS = 2**15
 
 
@@ -168,25 +190,25 @@ class AllocationPlan:
 
 @dataclass(frozen=True)
 class _TailProblems:
-    """The sigma-free part of a batch of tail-bound problems, leading axes (S, R).
+    """The sigma-free part of a batch of tail-bound problems, leading axis (R,).
 
-    Problem (s, r) excludes row e = excluded[r] of Gram grams[s]; rows before
-    it are the candidates.  Its reference measure is N(0, sigma^2 I) (add:
-    nu and log_w are None) or the uniform mixture over rows ref_start[r] and
-    up (remove).  Per variational member psi: kl; a = h_ee - psi.diag; q =
-    h_ee - 2 psi.h_e + psi'H psi; and per reference row k, nu = h_k.psi -
-    h_ke.  At sigma a term's mean is nu/sigma^2 plus a per-member constant,
-    so terms with equal nu are equal at every sigma: each member's terms are
-    merged by exactly equal nu into G groups, log_w holding each group's log
-    weight (its share of the reference rows), -inf on padding.
+    Problem r excludes row e = excluded[r] of Gram grams[r]; rows before it
+    are the candidates.  Its reference measure is N(0, sigma^2 I) (add: nu
+    and log_w are None) or the uniform mixture over rows ref_start[r] and up
+    (remove).  Per variational member psi: kl; a = h_ee - psi.diag; q = h_ee
+    - 2 psi.h_e + psi'H psi; and per reference row k, nu = h_k.psi - h_ke.
+    At sigma a term's mean is nu/sigma^2 plus a per-member constant, so terms
+    with equal nu are equal at every sigma: each member's terms are merged by
+    exactly equal nu into G groups, log_w holding each group's log weight
+    (its share of the reference rows), -inf on padding.
     """
 
-    distinct: np.ndarray  # (S, R): some candidate differs from the excluded row
-    kl: np.ndarray  # (S, R, P)
-    a: np.ndarray  # (S, R, P)
-    q: np.ndarray  # (S, R, P)
-    nu: np.ndarray | None  # (S, R, P, G)
-    log_w: np.ndarray | None  # (S, R, P, G)
+    distinct: np.ndarray  # (R,): some candidate differs from the excluded row
+    kl: np.ndarray  # (R, P)
+    a: np.ndarray  # (R, P)
+    q: np.ndarray  # (R, P)
+    nu: np.ndarray | None  # (R, P, G)
+    log_w: np.ndarray | None  # (R, P, G)
 
 
 def _merge_equal_terms(nu: np.ndarray, live: np.ndarray):
@@ -217,26 +239,31 @@ def _merge_equal_terms(nu: np.ndarray, live: np.ndarray):
 
 
 def _prepare_tails(grams: np.ndarray, excluded: np.ndarray, ref_start=None) -> _TailProblems:
-    """Build the sigma-free terms of every (Gram, excluded row) problem at once."""
+    """Build the sigma-free terms of every (Gram, excluded row) problem at once.
+
+    grams (R, n, n) holds one Gram per problem, excluded (R,) its excluded
+    row, and ref_start (R,) its first reference row (None for add).
+    """
     n = grams.shape[-1]
     cols = np.arange(n)
+    rows = np.arange(excluded.size)
     cand = cols[None, :] < excluded[:, None]  # (R, n)
-    diag = np.diagonal(grams, axis1=1, axis2=2)  # (S, n)
-    hee = diag[:, excluded]  # (S, R)
-    cross = grams[:, excluded, :]  # (S, R, n): row e of each Gram
-    sq = diag[:, None, :] + hee[..., None] - 2.0 * cross
-    psis = DEFAULT_FAMILY.members(sq, cand)  # (S, R, P, n)
+    diag = np.diagonal(grams, axis1=1, axis2=2)  # (R, n)
+    hee = diag[rows, excluded]  # (R,)
+    cross = grams[rows, excluded]  # (R, n): row e of each Gram
+    sq = diag + hee[:, None] - 2.0 * cross
+    psis = DEFAULT_FAMILY.members(sq, cand)  # (R, P, n)
     distinct = (cand & (sq > IDENTICAL_SQ_TOL)).any(axis=-1)
     kl = xlogy(psis, psis).sum(axis=-1) + np.log(excluded)[:, None]
-    hee = hee[..., None]
-    a = hee - (psis @ diag[:, None, :, None])[..., 0]
-    psi_h = psis @ grams[:, None]  # (S, R, P, n): h_k.psi per row k (H is symmetric)
+    hee = hee[:, None]
+    a = hee - (psis @ diag[..., None])[..., 0]
+    psi_h = psis @ grams  # (R, P, n): h_k.psi per row k (H is symmetric)
     q = hee - 2.0 * (psis @ cross[..., None])[..., 0] + (psi_h * psis).sum(axis=-1)
     if ref_start is None:
         return _TailProblems(distinct, kl, a, q, None, None)
     # Reference row k's term: nu = h_k.psi - h_ke, for rows ref_start[r] and up.
-    nu = psi_h - cross[:, :, None, :]
-    live = np.broadcast_to((cols >= ref_start[:, None])[None, :, None, :], nu.shape)
+    nu = psi_h - cross[:, None, :]
+    live = np.broadcast_to((cols >= ref_start[:, None])[:, None, :], nu.shape)
     nu, log_w = _merge_equal_terms(nu, live)
     return _TailProblems(distinct, kl, a, q, nu, log_w)
 
@@ -287,7 +314,7 @@ def _mixture_lower_tails(nus, log_w, xi, log_beta) -> np.ndarray:
 
 
 def _tail_bounds(problems: _TailProblems, sigma: float, betas: np.ndarray) -> np.ndarray:
-    """(S, R) tails tau with Pr[L < tau] <= beta_s under each reference measure.
+    """(R,) tails tau with Pr[L < tau] <= beta_r under each reference measure.
 
     Each member's variational lower bound on the loss is Gaussian (add) or a
     Gaussian mixture over the reference groups (remove) with scale
@@ -297,7 +324,7 @@ def _tail_bounds(problems: _TailProblems, sigma: float, betas: np.ndarray) -> np
     sig2 = sigma * sigma
     const = problems.a / (2.0 * sig2) - problems.kl
     xi = np.sqrt(np.maximum(problems.q / sig2, 0.0))
-    betas = betas[:, None, None]
+    betas = betas[:, None]
     if problems.nu is None:
         taus = np.where(xi > 0.0, const + xi * ndtri(betas), const)
     else:
@@ -321,6 +348,33 @@ def _tail_bounds(problems: _TailProblems, sigma: float, betas: np.ndarray) -> np
     return np.where(problems.distinct, taus.max(axis=-1), 0.0)
 
 
+def _first_read_ranks(means: MixtureMeans, plan: AllocationPlan) -> np.ndarray:
+    """Per step, the 0-based index of the first hazard its block reads.
+
+    That is the size t of the step's lowest tie group of scalar means, lowered
+    to the smallest t in its block of `plan.blocks()`, so every step of a
+    shared block bounds the union of the ranks its steps read.
+    """
+    m = means.means
+    first = np.count_nonzero(m == m.min(axis=0), axis=0)
+    for start, stop, _ in plan.blocks():
+        first[start - 1 : stop] = first[start - 1 : stop].min()
+    return first
+
+
+def _sorted_prefix_grams(m: np.ndarray):
+    """Yield each step's prefix Gram, rows in ascending order of its scalar means.
+
+    The prefix Gram is kept up to date by one rank-1 update per step rather
+    than recomputed from the raw prefixes.
+    """
+    gram_prefix = np.zeros((m.shape[0], m.shape[0]))
+    for scalars in m.T:
+        order = np.argsort(scalars, kind="stable")
+        yield gram_prefix[np.ix_(order, order)]
+        gram_prefix += np.outer(scalars, scalars)
+
+
 def step_hazards(
     means: MixtureMeans,
     sigma: float,
@@ -330,11 +384,19 @@ def step_hazards(
     """Per-step hazard bounds, (N, b), before any cross-step sharing.
 
     Column i-1 bounds the reverse hazard of the i-th smallest component at
-    that step, at the significance of the step's block in the plan.  Prefix
-    inner products are maintained incrementally (one rank-1 update per step)
-    rather than recomputed from the raw prefixes.  Steps are bounded in
-    chunks sized to _HAZARD_CHUNK_ELEMENTS of the (step, rank, member, group)
-    tensor: one sigma-free preparation and one tail evaluation per chunk.
+    that step, at the significance of the step's block in the plan.  Only
+    the ranks the step's pair reads are bounded.  The pair needs its mixing
+    law's tail mass only at the first rank of each level of means above the
+    lowest, and by the telescoping head sum_{j<i} w_j = prod_{j>=i} (1 - l_j)
+    the tail mass at rank i reads the hazards at ranks i and up alone (the
+    module docstring has the argument).  So with t the size of the lowest
+    tie group of the step's scalar means, lowered to the smallest t in its
+    block, the bounded ranks are t+1..b.  Column 0 is 1 and the unread
+    ranks 2..t are exactly _HAZARD_FLOOR, so `apply_sharing`'s max never
+    picks them over a bound.  The read (step, rank) problems form
+    one flat axis, bounded in chunks sized to _HAZARD_CHUNK_ELEMENTS of the
+    (problem, member, row) tensor: one sigma-free preparation and one tail
+    evaluation per chunk, each problem reading its step's sorted prefix Gram.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
@@ -345,23 +407,29 @@ def step_hazards(
     lam = np.ones((n_total, b))
     if b == 1:
         return lam
+    lam[:, 1:] = _HAZARD_FLOOR
     betas = np.empty(n_total)
     for first, last, beta in plan.blocks():
         betas[first - 1 : last] = beta
-    ranks = np.arange(1, b)  # candidates per bound; the excluded row's index
-    ref_start = ranks if direction == REMOVE else None
-    per_chunk = max(1, _HAZARD_CHUNK_ELEMENTS // ((b - 1) * len(DEFAULT_FAMILY) * b))
-    gram_prefix = np.zeros((b, b))
-    for start in range(0, n_total, per_chunk):
-        stop = min(start + per_chunk, n_total)
-        grams = np.empty((stop - start, b, b))
-        for s, n in enumerate(range(start, stop)):
-            scalars = m[:, n]
-            order = np.argsort(scalars, kind="stable")
-            grams[s] = gram_prefix[np.ix_(order, order)]
-            gram_prefix += np.outer(scalars, scalars)
-        taus = _tail_bounds(_prepare_tails(grams, ranks, ref_start), sigma, betas[start:stop])
-        lam[start:stop, 1:] = expit(-np.log(ranks) - taus)
+    counts = b - _first_read_ranks(means, plan)
+    step_of = np.repeat(np.arange(n_total), counts)
+    # Step n's problems exclude rows first[n]..b-1 in turn.
+    excluded = np.arange(step_of.size) - np.repeat(np.cumsum(counts) - b, counts)
+    per_chunk = max(1, _HAZARD_CHUNK_ELEMENTS // (len(DEFAULT_FAMILY) * b))
+    grams_by_step = enumerate(_sorted_prefix_grams(m))
+    held = {}  # sorted prefix Gram per step of the current chunk
+    for start in range(0, step_of.size, per_chunk):
+        steps = step_of[start : start + per_chunk]
+        rows = excluded[start : start + per_chunk]
+        held = {n: held[n] for n in held if n >= steps[0]}
+        while steps[-1] not in held:
+            n, gram = next(grams_by_step)
+            if n >= steps[0]:
+                held[n] = gram
+        grams = np.stack([held[n] for n in steps])
+        problems = _prepare_tails(grams, rows, rows if direction == REMOVE else None)
+        taus = _tail_bounds(problems, sigma, betas[steps])
+        lam[steps, rows] = expit(-np.log(rows) - taus)
     return np.clip(lam, _HAZARD_FLOOR, 1.0)
 
 

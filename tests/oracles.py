@@ -13,7 +13,7 @@ from balloc import mc
 from balloc.calibrate import SIGMA_MAX, SIGMA_MIN, UnachievableTargetError
 from balloc.condcomp import DEFAULT_FAMILY, IDENTICAL_SQ_TOL, _prepare_tails, _tail_bounds
 from balloc.mechanism import gram
-from balloc.pld import _delta_terms, _mix_loss, identical_pair_delta
+from balloc.pld import DiscretePLD, _delta_terms, _mix_loss, identical_pair_delta
 from balloc.renyi import _check_alpha
 
 
@@ -128,6 +128,26 @@ def mix_loss_inverse_bisection(pair, ell) -> np.ndarray:
         if np.max(hi - lo) < tol:
             break
     return 0.5 * (lo + hi)
+
+
+def compose_direct(plds) -> DiscretePLD:
+    """Composition as a left fold of direct `np.convolve`, with no FFT.
+
+    Every entry is a sum of non-negative products, so nothing cancels: the
+    reference for the engine's FFT rounding.  The infinity atom composes as
+    1 - prod(1 - m_i).
+    """
+    plds = list(plds)
+    pmf = plds[0].pmf
+    for p in plds[1:]:
+        pmf = np.convolve(pmf, p.pmf)
+    keep = math.prod(1.0 - p.infinity_mass for p in plds)
+    return DiscretePLD(
+        h=plds[0].h,
+        lo_index=sum(p.lo_index for p in plds),
+        pmf=pmf,
+        infinity_mass=1.0 - keep,
+    )
 
 
 def collinear_add_renyi_quadrature(ts, sigma, alpha) -> float:
@@ -345,7 +365,7 @@ def _tail_bound(h: np.ndarray, i: int, ref_start, sigma: float, beta: float) -> 
     problems = _prepare_tails(
         h[None], np.array([i]), None if ref_start is None else np.array([ref_start])
     )
-    return float(_tail_bounds(problems, sigma, np.array([beta]))[0, 0])
+    return float(_tail_bounds(problems, sigma, np.array([beta]))[0])
 
 
 def tail_bound_add(mu_list, mu_i, sigma: float, beta: float) -> float:

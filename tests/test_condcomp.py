@@ -29,7 +29,7 @@ from balloc.mechanism import (
     mixture_means,
     sqrt_toeplitz_coefficients,
 )
-from balloc.pld import ADD, REMOVE
+from balloc.pld import ADD, REMOVE, MixGaussPair
 
 from oracles import (
     TernaryLoss,
@@ -346,13 +346,17 @@ def test_apply_sharing_blocks():
 
 
 def test_step_pair_first_step_is_uniform():
-    # an empty prefix leaves nothing to tell the components apart
+    # An empty prefix leaves nothing to tell the components apart: the pair
+    # is the uniform mixture over the step's means [0, 0, 0, 1].  Only the
+    # top rank is read; the three zeros merge into one level.
     means = mixture_means(build_identity(4), Schedule(1, 4))
     plan = AllocationPlan(Schedule(1, 4), 1e-5, "union")
     for direction in (REMOVE, ADD):
         lam = step_hazards(means, 1.0, plan, direction)[0]
-        assert lam == pytest.approx([1.0, 0.5, 1 / 3, 0.25])
-        assert reverse_hazard_weights(lam) == pytest.approx(np.full(4, 0.25))
+        assert lam == pytest.approx([1.0, condcomp._HAZARD_FLOOR, condcomp._HAZARD_FLOOR, 0.25])
+        pair = MixGaussPair(np.sort(means.means[:, 0]), reverse_hazard_weights(lam), 1.0, direction)
+        assert list(pair.means) == [0.0, 1.0]
+        assert pair.weights == pytest.approx([0.75, 0.25], rel=1e-15)
     with pytest.raises(ValueError):
         step_hazards(means, 1.0, plan, "sideways")
 
@@ -379,36 +383,88 @@ HAZARD_CASES = [
 ]
 
 
+def _first_read(means, plan):
+    """Per step, the first read column: the size of its lowest tie group of
+    scalar means, lowered to the least such size in its block of the plan."""
+    m = means.means
+    own = [int(np.sum(m[:, n] == m[:, n].min())) for n in range(m.shape[1])]
+    first = list(own)
+    for start, stop, _ in plan.blocks():
+        least = min(own[start - 1 : stop])
+        first[start - 1 : stop] = [least] * (stop - start + 1)
+    return own, first
+
+
 def test_step_hazards_match_single_step_builder():
-    # the batched engine (incremental rank-1 Gram update, chunked steps, one
-    # bisection per chunk) against one scalar tail bound per (step, rank) on
-    # the prefix Gram formed from the raw prefixes, at every step
+    # the batched engine (incremental rank-1 Gram update, one flat axis of
+    # read problems, one bisection per chunk) against one scalar tail bound
+    # per (step, rank) on the prefix Gram formed from the raw prefixes, at
+    # every read rank; the unread ranks hold exactly the floor
     for strategy, sched in HAZARD_CASES:
         means = mixture_means(strategy, sched)
         for allocation in STRATEGIES:
             plan = AllocationPlan(sched, 1e-4, allocation)
+            _, first = _first_read(means, plan)
             for direction in (REMOVE, ADD):
                 lam = step_hazards(means, 1.0, plan, direction)
-                single = np.array(
-                    [
-                        single_step_hazards(means, n, 1.0, plan, direction)
-                        for n in range(1, sched.iterations + 1)
-                    ]
-                )
-                assert lam == pytest.approx(single, rel=1e-12)
+                for n, t in enumerate(first):
+                    single = single_step_hazards(means, n + 1, 1.0, plan, direction)
+                    assert lam[n, 0] == 1.0
+                    assert np.all(lam[n, 1:t] == condcomp._HAZARD_FLOOR)
+                    assert lam[n, t:] == pytest.approx(single[t:], rel=1e-12)
 
 
-@pytest.mark.parametrize("steps_per_chunk", [1, 3])
-def test_step_hazards_do_not_depend_on_chunking(monkeypatch, steps_per_chunk):
-    for strategy, sched in (HAZARD_CASES[0], HAZARD_CASES[2]):
+_CASE_HAZARDS = {}
+
+
+def _case_hazards(case, allocation, direction):
+    key = (case, allocation, direction)
+    if key not in _CASE_HAZARDS:
+        strategy, sched = HAZARD_CASES[case]
+        means = mixture_means(strategy, sched)
+        plan = AllocationPlan(sched, 1e-4, allocation)
+        lam = apply_sharing(step_hazards(means, 1.1, plan, direction), plan)
+        _CASE_HAZARDS[key] = means, plan, lam
+    return _CASE_HAZARDS[key]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(0, len(HAZARD_CASES) - 1),
+    st.sampled_from(STRATEGIES),
+    st.sampled_from([REMOVE, ADD]),
+    st.integers(0, 2**32 - 1),
+)
+def test_unread_hazards_do_not_move_the_pair(case, allocation, direction, seed):
+    # The pair reads no hazard at ranks 2..t: any values there leave every
+    # step's merged means identical and its weights within float rounding.
+    means, plan, lam = _case_hazards(case, allocation, direction)
+    own, _ = _first_read(means, plan)
+    rng = np.random.default_rng(seed)
+    for n, t in enumerate(own):
+        scalars = np.sort(means.means[:, n])
+        noisy = lam[n].copy()
+        noisy[1:t] = rng.uniform(1e-3, 1.0, size=t - 1)
+        pair = MixGaussPair(scalars, reverse_hazard_weights(lam[n]), 1.1, direction)
+        moved = MixGaussPair(scalars, reverse_hazard_weights(noisy), 1.1, direction)
+        assert np.array_equal(pair.means, moved.means)
+        assert np.max(np.abs(pair.weights - moved.weights)) <= 1e-15
+
+
+@pytest.mark.parametrize("problems_per_chunk", [1, 3, 7])
+def test_step_hazards_do_not_depend_on_chunking(monkeypatch, problems_per_chunk):
+    # BSR at one epoch of 28 batches: its steps read 1 to 4 ranks each, so
+    # chunks split steps and hold steps with different read sets.
+    for strategy, sched in (HAZARD_CASES[0], HAZARD_CASES[2], HAZARD_CASES[3]):
         b = sched.batches_per_epoch
         means = mixture_means(strategy, sched)
         plan = AllocationPlan(sched, 1e-4, "hybrid")
         whole = {d: step_hazards(means, 1.3, plan, d) for d in (REMOVE, ADD)}
-        per_step = (b - 1) * len(DEFAULT_FAMILY) * b
-        monkeypatch.setattr(condcomp, "_HAZARD_CHUNK_ELEMENTS", steps_per_chunk * per_step)
-        for direction, lam in whole.items():
-            assert step_hazards(means, 1.3, plan, direction) == pytest.approx(lam, rel=1e-12)
+        per_problem = len(DEFAULT_FAMILY) * b
+        with monkeypatch.context() as patched:
+            patched.setattr(condcomp, "_HAZARD_CHUNK_ELEMENTS", problems_per_chunk * per_problem)
+            for direction, lam in whole.items():
+                assert step_hazards(means, 1.3, plan, direction) == pytest.approx(lam, rel=1e-12)
 
 
 def test_remove_bisection_returns_the_pessimistic_end(monkeypatch):
@@ -423,9 +479,12 @@ def test_remove_bisection_returns_the_pessimistic_end(monkeypatch):
         return taus
 
     monkeypatch.setattr(condcomp, "_mixture_lower_tails", recording)
-    for strategy, sched in (HAZARD_CASES[1], HAZARD_CASES[3]):
-        plan = AllocationPlan(sched, 1e-4, "union")
-        step_hazards(mixture_means(strategy, sched), 1.2, plan, REMOVE)
+    # Only read ranks are bisected, so both plans and every BSR shape are
+    # needed to reach the checked count.
+    for strategy, sched in HAZARD_CASES[1:4]:
+        for allocation in ("union", "global-max"):
+            plan = AllocationPlan(sched, 1e-4, allocation)
+            step_hazards(mixture_means(strategy, sched), 1.2, plan, REMOVE)
     rng = np.random.default_rng(3)
     checked = 0
     for nus, log_w, xi, log_beta, taus in seen:
@@ -478,37 +537,85 @@ def test_remove_merge_matches_the_row_oracle_and_stays_pessimistic(b, dim, seed)
     h = rows @ rows.T
     sigma, beta = float(rng.uniform(0.5, 2.0)), 1e-4
     ranks = np.arange(1, b)
-    problems = condcomp._prepare_tails(h[None], ranks, ranks)
-    taus = condcomp._tail_bounds(problems, sigma, np.array([beta]))[0]
+    grams = np.broadcast_to(h, (ranks.size, b, b))
+    problems = condcomp._prepare_tails(grams, ranks, ranks)
+    taus = condcomp._tail_bounds(problems, sigma, np.full(ranks.size, beta))
     for i, tau in zip(ranks, taus):
         oracle = _tau_core(h, int(i), np.arange(i, b), sigma, beta)
         assert tau == pytest.approx(oracle, rel=1e-12, abs=1e-12)
-        if problems.distinct[0, i - 1]:
+        if problems.distinct[i - 1]:
             assert _raw_remove_log_cdf(h, int(i), sigma, tau).min() <= math.log(beta) + 1e-6
         else:
             assert tau == 0.0
 
 
-def test_remove_terms_merge_to_distinct_means(monkeypatch):
-    # Counted work: the remove mixture keeps one term per distinct sigma-free
-    # mean of each member, not one per distinct whole Gram row.
-    widths = []
+def _recording_prepare(monkeypatch):
+    """Record (excluded rows, merged remove width) per `_prepare_tails` call."""
+    calls = []
     prepare = condcomp._prepare_tails
 
     def recording(grams, excluded, ref_start=None):
         problems = prepare(grams, excluded, ref_start)
-        widths.append(problems.nu.shape[-1])
+        calls.append((excluded, None if problems.nu is None else problems.nu.shape[-1]))
         return problems
 
     monkeypatch.setattr(condcomp, "_prepare_tails", recording)
+    return calls
+
+
+def test_remove_terms_merge_to_distinct_means(monkeypatch):
+    # Counted work: the remove mixture keeps one term per distinct sigma-free
+    # mean of each member, not one per distinct whole Gram row.
+    calls = _recording_prepare(monkeypatch)
     for strategy, sched, most in [
         (build_identity(32), Schedule(1, 32), 2),
         (_bsr(28), Schedule(1, 28), 5),
     ]:
-        widths.clear()
+        calls.clear()
         plan = AllocationPlan(sched, 1e-5, "union")
         step_hazards(mixture_means(strategy, sched), 1.0, plan, REMOVE)
-        assert widths and max(widths) <= most
+        assert calls and max(width for _, width in calls) <= most
+
+
+def test_tail_problems_are_the_read_ranks(monkeypatch):
+    # Counted work: one tail problem per read (step, rank), per direction.
+    # DP-SGD at one epoch reads only the top rank of each step (32 of 992
+    # bounds); BSR p=4 at b=28 reads 106 of 756.
+    calls = _recording_prepare(monkeypatch)
+    for strategy, sched, allocation, count in [
+        (build_identity(32), Schedule(1, 32), "union", 32),
+        (_bsr(28), Schedule(1, 28), "union", 106),
+        (build_identity(100), Schedule(4, 25), "hybrid", 100),
+    ]:
+        means = mixture_means(strategy, sched)
+        plan = AllocationPlan(sched, 1e-5, allocation)
+        for direction in (REMOVE, ADD):
+            calls.clear()
+            step_hazards(means, 1.0, plan, direction)
+            assert sum(excluded.size for excluded, _ in calls) == count
+
+
+def test_shared_block_reads_the_union_of_its_steps_ranks():
+    # A shared block bounds, at every step, the ranks any of its steps reads:
+    # a suffix from the block's least lowest-tie-group size.  DP-SGD k=4
+    # b=25 under hybrid shares one vector per later epoch; under global-max
+    # the BSR steps of one block read 1 to 4 ranks of their own.
+    for strategy, sched, allocation in [
+        (build_identity(100), Schedule(4, 25), "hybrid"),
+        (_bsr(12), Schedule(2, 6), "global-max"),
+    ]:
+        means = mixture_means(strategy, sched)
+        plan = AllocationPlan(sched, 1e-4, allocation)
+        own, first = _first_read(means, plan)
+        lam = step_hazards(means, 1.2, plan, REMOVE)
+        for start, stop, _ in plan.blocks():
+            block = range(start - 1, stop)
+            assert len({first[n] for n in block}) == 1
+            for n in block:
+                assert np.all(lam[n, first[n] :] > condcomp._HAZARD_FLOOR)
+                assert np.all(lam[n, 1 : first[n]] == condcomp._HAZARD_FLOOR)
+        if allocation == "global-max":
+            assert max(own) > min(own)
 
 
 def test_cond_comp_single_batch_matches_gaussian_composition():

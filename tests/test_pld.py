@@ -32,6 +32,7 @@ from balloc.pld import (
 )
 
 from oracles import (
+    compose_direct,
     gaussian_profile_delta,
     hockey_stick,
     hockey_stick_grid,
@@ -172,6 +173,33 @@ def test_compose_power_matches_sequential():
     pa = np.pad(fast.pmf, (0, n - fast.pmf.size))
     pb = np.pad(slow.pmf, (0, n - slow.pmf.size))
     assert np.abs(pa - pb).sum() < 1e-10
+
+
+@pytest.mark.parametrize("direction", [REMOVE, ADD])
+def test_tree_compose_matches_direct_convolution(direction):
+    # The balanced tree against a left fold of direct np.convolve, which has
+    # no FFT cancellation.  Odd piece counts carry a piece up a level, and
+    # the supports cross _DIRECT_CONV_LIMIT, so both convolution paths run.
+    rng = np.random.default_rng(11)
+    sizes = []
+    for count in (3, 8, 13):
+        pairs = [
+            MixGaussPair(
+                np.sort(rng.uniform(0.0, 1.5, 3)),
+                rng.dirichlet(np.ones(3)),
+                float(rng.uniform(0.8, 1.5)),
+                direction,
+            )
+            for _ in range(count)
+        ]
+        h = auto_spacing(pairs)
+        pieces = [discretize(pair, h) for pair in pairs]
+        tree, direct = compose(pieces), compose_direct(pieces)
+        assert (tree.lo_index, tree.pmf.size) == (direct.lo_index, direct.pmf.size)
+        sizes.append(tree.pmf.size)
+        for eps in np.linspace(0.0, 8.0, 33):
+            assert abs(delta_at(tree, eps) - delta_at(direct, eps)) <= 5e-14
+    assert min(sizes) < _DIRECT_CONV_LIMIT < max(sizes)
 
 
 def test_composition_preserves_dominance_two_fold():
