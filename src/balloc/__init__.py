@@ -45,7 +45,6 @@ from .calibrate import (
     PrivacyPoint,
     UnachievableTargetError,
     calibrate_sigma,
-    calibrate_sigma_mc,
     profile,
 )
 

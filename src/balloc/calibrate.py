@@ -19,9 +19,6 @@ _PRIOR_SLOPE = 2.0
 _MIN_SLOPE = 0.5
 _MAX_JUMP = 3.0
 
-METHODS = ("renyi", "condcomp", "best")
-
-
 class UnachievableTargetError(RuntimeError):
     """No sigma in the search bracket reaches the privacy target."""
 
@@ -134,59 +131,28 @@ def calibrate_sigma(
     alpha_set=renyi.DEFAULT_ALPHAS,
     bandwidth: int | None = None,
     allocation: str = "hybrid",
+    n_samples: int = 10**6,
+    seed: int | None = None,
 ) -> float:
-    """Smallest noise multiplier achieving (epsilon, delta_target) for the method.
+    """Smallest noise multiplier whose one-epsilon profile meets delta_target.
 
-    condcomp spends delta_e_fraction of the target on the bad-event budget and
-    the rest on the composed profile; `best` takes the minimum over methods.
+    Every method searches its own profile, with profile's options and delta_e
+    = delta_e_fraction * delta_target; `mc` is a seeded estimate, not a bound.
     """
-    if not math.isfinite(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon}")
     if not 0.0 < delta_target < 1.0:
         raise ValueError(f"delta_target must lie in (0, 1), got {delta_target}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if not 0.0 < delta_e_fraction < 1.0:
         raise ValueError(f"delta_e_fraction must lie in (0, 1), got {delta_e_fraction}")
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     kwargs = dict(
-        delta_e=delta_target * delta_e_fraction,
-        alpha_set=alpha_set,
-        bandwidth=bandwidth,
-        allocation=allocation,
+        delta_e=delta_target * delta_e_fraction, alpha_set=alpha_set, bandwidth=bandwidth,
+        allocation=allocation, n_samples=n_samples, seed=seed,
     )
-    methods = ("renyi", "condcomp") if method == "best" else (method,)
-    return min(
-        _calibrate(m, strategy, schedule, epsilon, delta_target, tol, **kwargs) for m in methods
-    )
-
-
-def _calibrate(method, strategy, schedule, epsilon, delta_target, tol, **kwargs) -> float:
-    """Smallest sigma whose one-epsilon profile meets delta_target."""
     return smallest_sigma(
         lambda sigma: profile(method, strategy, schedule, sigma, [epsilon], **kwargs)[0].delta,
         delta_target,
         tol,
-    )
-
-
-def calibrate_sigma_mc(
-    strategy: StrategyMatrix,
-    schedule: Schedule,
-    epsilon: float,
-    delta_target: float,
-    n_samples: int,
-    seed: int,
-    tol: float = 1e-3,
-) -> float:
-    """Monte Carlo reference calibration (point estimate, not a sound bound).
-
-    Uses max over adjacency directions of the estimated divergence; each
-    sigma probe reuses the seed, so results are reproducible.
-    """
-    return _calibrate(
-        "mc", strategy, schedule, epsilon, delta_target, tol, n_samples=n_samples, seed=seed
     )
 
 

@@ -198,21 +198,15 @@ def _cmd_compare(args) -> int:
     if args.seed is None:
         raise UsageError("compare includes an MC reference and requires --seed")
 
-    def row(e):
-        sigma_r = cal.calibrate_sigma(
-            "renyi", strategy, schedule, e, args.delta, tol=args.tol,
-            alpha_set=tuple(range(2, args.alpha_max + 1)), bandwidth=args.bandwidth,
-        )
-        sigma_c = cal.calibrate_sigma(
-            "condcomp", strategy, schedule, e, args.delta, tol=args.tol,
-            allocation=args.allocation,
-        )
-        sigma_m = cal.calibrate_sigma_mc(
-            strategy, schedule, e, args.delta, args.samples, args.seed, tol=args.tol
-        )
-        return (e, sigma_r, sigma_c, sigma_m)
-
-    rows = [row(e) for e in eps]
+    options = dict(
+        tol=args.tol, alpha_set=tuple(range(2, args.alpha_max + 1)), bandwidth=args.bandwidth,
+        allocation=args.allocation, n_samples=args.samples, seed=args.seed,
+    )
+    rows = [
+        (e, *(cal.calibrate_sigma(m, strategy, schedule, e, args.delta, **options)
+              for m in ("renyi", "condcomp", "mc")))
+        for e in eps
+    ]
     _write_csv(
         args.out, "epsilon,sigma_renyi,sigma_condcomp,sigma_mc_reference", rows
     )

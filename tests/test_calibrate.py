@@ -7,7 +7,6 @@ from balloc.calibrate import (
     PrivacyPoint,
     UnachievableTargetError,
     calibrate_sigma,
-    calibrate_sigma_mc,
     profile,
     smallest_sigma,
 )
@@ -57,6 +56,23 @@ def test_best_is_min_of_methods():
     s_c = calibrate_sigma("condcomp", strategy, sched, 1.0, 1e-5)
     s_b = calibrate_sigma("best", strategy, sched, 1.0, 1e-5)
     assert s_b <= min(s_r, s_c) * (1 + 1e-12)
+
+
+def test_best_reaches_a_target_only_condcomp_reaches():
+    # At epsilon = 0.05 no Renyi order converts to delta <= 1e-5 at any sigma,
+    # so a min over two separate searches raised; `best` searches its own
+    # profile and lands on condcomp's sigma.
+    strategy, sched, eps, delta, tol = build_identity(4), Schedule(1, 4), 0.05, 1e-5, 1e-3
+    with pytest.raises(UnachievableTargetError):
+        calibrate_sigma("renyi", strategy, sched, eps, delta, tol=tol)
+    sigma = calibrate_sigma("best", strategy, sched, eps, delta, tol=tol)
+
+    def best(s):
+        return profile("best", strategy, sched, s, [eps], delta_e=delta / 2.0)[0].delta
+
+    assert best(sigma) <= delta < best(sigma / (1 + tol))
+    s_c = calibrate_sigma("condcomp", strategy, sched, eps, delta, tol=tol)
+    assert s_c / (1 + tol) <= sigma <= s_c * (1 + tol)
 
 
 def test_unachievable_target():
@@ -125,13 +141,13 @@ def test_calibrate_validation():
 
 
 def test_mc_reference_calibration_single_gaussian():
-    sigma = calibrate_sigma_mc(
-        build_identity(1), Schedule(1, 1), 1.0, 1e-2, n_samples=10**5, seed=3
+    sigma = calibrate_sigma(
+        "mc", build_identity(1), Schedule(1, 1), 1.0, 1e-2, n_samples=10**5, seed=3
     )
     oracle = gaussian_profile_sigma(1.0, 1.0, 1e-2)
     assert sigma == pytest.approx(oracle, rel=0.05)
-    again = calibrate_sigma_mc(
-        build_identity(1), Schedule(1, 1), 1.0, 1e-2, n_samples=10**5, seed=3
+    again = calibrate_sigma(
+        "mc", build_identity(1), Schedule(1, 1), 1.0, 1e-2, n_samples=10**5, seed=3
     )
     assert sigma == again
 
@@ -149,14 +165,16 @@ def test_mc_reference_calibration_is_pinned():
     for strategy, sched, eps, tol, kwargs, pinned in cases:
         delta_fn = lambda s: profile("mc", strategy, sched, s, [eps], **kwargs)[0].delta
         assert smallest_sigma_bisection(delta_fn, 1e-3, tol) == pytest.approx(pinned, rel=1e-12)
-        sigma = calibrate_sigma_mc(strategy, sched, eps, 1e-3, tol=tol, **kwargs)
+        sigma = calibrate_sigma("mc", strategy, sched, eps, 1e-3, tol=tol, **kwargs)
         assert delta_fn(sigma) <= 1e-3 < delta_fn(sigma / (1 + tol))
         assert sigma == pytest.approx(pinned, rel=tol)
 
 
 def test_calibration_probes_the_one_epsilon_profile():
     strategy, sched = build_identity(6), Schedule(2, 3)
-    for method, kwargs in [("renyi", {}), ("condcomp", {"delta_e": 0.5e-5})]:
+    for method, kwargs in [
+        ("renyi", {}), ("condcomp", {"delta_e": 0.5e-5}), ("best", {"delta_e": 0.5e-5})
+    ]:
         sigma = calibrate_sigma(method, strategy, sched, 1.0, 1e-5, tol=1e-3)
         assert profile(method, strategy, sched, sigma, [1.0], **kwargs)[0].delta <= 1e-5
         below = sigma / (1 + 1e-3)

@@ -281,6 +281,18 @@ def test_calibrate_command(identity4, capsys):
     assert profile("renyi", build_identity(4), Schedule(2, 2), sigma, [1.0])[0].delta <= 1e-5
 
 
+def test_calibrate_best_reaches_a_target_no_renyi_order_reaches(identity4, capsys):
+    code, out = run_and_capture(
+        capsys,
+        ["calibrate", "--matrix", identity4, "--epochs", "1", "--batches", "4",
+         "--epsilon", "0.05", "--delta", "1e-5", "--method", "best"],
+    )
+    assert code == 0
+    sigma = float(out.strip())
+    point = profile("best", build_identity(4), Schedule(1, 4), sigma, [0.05], delta_e=0.5e-5)[0]
+    assert point.delta <= 1e-5
+
+
 @pytest.mark.parametrize("fraction", ["0", "1", "1.5"])
 def test_calibrate_delta_e_frac_outside_zero_one_is_usage_error(identity4, capsys, fraction):
     code = main(["calibrate", "--matrix", identity4, "--epochs", "1", "--batches", "4",

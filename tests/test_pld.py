@@ -176,12 +176,20 @@ def test_compose_power_matches_sequential():
 
 
 @pytest.mark.parametrize("direction", [REMOVE, ADD])
-def test_tree_compose_matches_direct_convolution(direction):
+def test_tree_compose_matches_direct_convolution(direction, monkeypatch):
     # The balanced tree against a left fold of direct np.convolve, which has
-    # no FFT cancellation.  Odd piece counts carry a piece up a level, and
-    # the supports cross _DIRECT_CONV_LIMIT, so both convolution paths run.
+    # no FFT cancellation.  Odd piece counts carry a piece up a level, and one
+    # short piece (small means, so few points at the shared spacing) joins
+    # each composition, so both convolution paths run.
+    shorter = []
+    convolve = pld_module._convolve
+
+    def recording(a, b):
+        shorter.append(min(a.size, b.size))
+        return convolve(a, b)
+
+    monkeypatch.setattr(pld_module, "_convolve", recording)
     rng = np.random.default_rng(11)
-    sizes = []
     for count in (3, 8, 13):
         pairs = [
             MixGaussPair(
@@ -192,14 +200,14 @@ def test_tree_compose_matches_direct_convolution(direction):
             )
             for _ in range(count)
         ]
+        pairs.append(MixGaussPair([0.0, 0.05], [0.5, 0.5], 1.0, direction))
         h = auto_spacing(pairs)
         pieces = [discretize(pair, h) for pair in pairs]
         tree, direct = compose(pieces), compose_direct(pieces)
         assert (tree.lo_index, tree.pmf.size) == (direct.lo_index, direct.pmf.size)
-        sizes.append(tree.pmf.size)
         for eps in np.linspace(0.0, 8.0, 33):
             assert abs(delta_at(tree, eps) - delta_at(direct, eps)) <= 5e-14
-    assert min(sizes) < _DIRECT_CONV_LIMIT < max(sizes)
+    assert min(shorter) <= _DIRECT_CONV_LIMIT < max(shorter)
 
 
 def test_composition_preserves_dominance_two_fold():
@@ -354,8 +362,8 @@ def test_convolve_is_bitwise_fftconvolve():
 
     rng = np.random.default_rng(5)
     for _ in range(30):
-        na = int(rng.integers(50, 20000))
-        nb = int(rng.integers(max(50, _DIRECT_CONV_LIMIT + 1 - na), 20000))
+        # Both sizes on the FFT side of the direct-convolution limit.
+        na, nb = (int(n) for n in rng.integers(_DIRECT_CONV_LIMIT + 1, 20000, 2))
         a, b = rng.dirichlet(np.ones(na)), rng.dirichlet(np.ones(nb))
         expected = np.maximum(fftconvolve(a, b), 0.0)
         assert np.array_equal(_convolve(a, b), expected)
