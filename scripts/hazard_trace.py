@@ -15,6 +15,7 @@ import sys
 
 from balloc.condcomp import AllocationPlan, step_hazards
 from balloc.mechanism import Schedule, build_identity, mixture_means
+from balloc.pld import DIRECTIONS
 
 
 def main() -> int:
@@ -23,7 +24,7 @@ def main() -> int:
     ap.add_argument("--epochs", type=int, default=4)
     ap.add_argument("--sigma", type=float, default=5.0)
     ap.add_argument("--delta-e", type=float, default=0.5e-5)
-    ap.add_argument("--direction", choices=["remove", "add"], default="remove")
+    ap.add_argument("--direction", choices=DIRECTIONS, default="remove")
     ap.add_argument(
         "--strategies", default="union,hybrid,global-max",
         help="comma-separated allocation strategies, one output column each",
@@ -40,8 +41,8 @@ def main() -> int:
     columns = {}
     for strategy in strategies:
         plan = AllocationPlan(schedule, args.delta_e, strategy)
-        lam = step_hazards(means, args.sigma, plan, args.direction)
-        columns[strategy] = lam[:, -1]
+        lam = step_hazards(means, args.sigma, plan)
+        columns[strategy] = lam[:, DIRECTIONS.index(args.direction), -1]
         print(f"{strategy}: done", file=sys.stderr)
 
     lines = ["step," + ",".join(f"lambda_b_{s}" for s in strategies)]

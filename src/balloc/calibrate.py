@@ -225,9 +225,7 @@ def profile(
         if seed is None:
             raise ValueError("Monte Carlo profiles require an explicit seed")
         means = mixture_means(strategy, schedule)
-        samples = {
-            d: mc.mc_loss_samples(means, sigma, d, n_samples, seed) for d in (pld.REMOVE, pld.ADD)
-        }
+        samples = {d: mc.mc_loss_samples(means, sigma, d, n_samples, seed) for d in pld.DIRECTIONS}
 
         def readout(e):
             est = {d: mc.mc_delta_from_samples(samples[d], e, 0.95, seed) for d in samples}

@@ -28,20 +28,22 @@ other hazards there.  The delta_E ledger
 still charges every rank 2..b, so the union of failure events of the bounds
 actually relied on stays within delta_E.
 
-`step_hazards` is the one hazard engine: it walks the steps once, keeping the
-prefix Gram matrix up to date, and lays every read (step, rank) bound out on
-one flat problem axis, bounded in chunks whose (problem, member, row) tensor
-fits a constant budget of _HAZARD_CHUNK_ELEMENTS.  Per chunk, `_prepare_tails`
-builds the sigma-free part of every problem at once from its gathered sorted
-prefix Gram (variational members, KL and quadratic forms, and the remove
-direction's reference terms) and `_tail_bounds` evaluates it at sigma: closed
-form for the add direction, one vectorized bisection over every remove
-column, each returning its pessimistic (lower) end.  A remove term's mean at
-sigma is nu/sigma^2 plus a constant of its (problem, member), with nu
-sigma-free, so terms of equal nu are equal at every sigma: the preparation
-merges them once, summing their weights, and the bisection sees one term per
-distinct mean: at most 2 per bound on DP-SGD (k <= 4, b <= 100 tried), whose
-Grams hold up to b distinct rows.
+`step_hazards` is the one hazard engine, for both adjacency directions at
+once: it walks the steps once, keeping the prefix Gram matrix up to date, and
+lays every read (step, rank) bound out on one flat problem axis, bounded in
+chunks whose (problem, member, row) tensor fits a constant budget of
+_HAZARD_CHUNK_ELEMENTS.  The directions differ only in the reference measure,
+so one preparation per chunk serves both: `_prepare_tails` builds the
+sigma-free part of every problem at once from its gathered sorted prefix Gram
+(variational members, KL and quadratic forms, and the remove direction's
+reference terms) and `_tail_bounds` evaluates it at sigma: closed form for
+the add direction, one vectorized bisection over every remove column, each
+returning its pessimistic (lower) end.  A remove term's mean at sigma is
+nu/sigma^2 plus a constant of its (problem, member), with nu sigma-free, so
+terms of equal nu are equal at every sigma: the preparation merges them once,
+summing their weights, and the bisection sees one term per distinct mean: at
+most 2 per bound on DP-SGD (k <= 4, b <= 100 tried), whose Grams hold up to b
+distinct rows.
 
 The delta_E failure budget is split by `AllocationPlan.blocks`, one table of
 (first step, last step, significance) per shared hazard vector for the chosen
@@ -63,7 +65,7 @@ from scipy.special import expit, log_ndtr, ndtri, xlogy
 
 from .mechanism import MixtureMeans, Schedule, StrategyMatrix, mixture_means
 from . import pld
-from .pld import ADD, REMOVE, MixGaussPair
+from .pld import DIRECTIONS, MixGaussPair
 
 # Squared-norm threshold below which two prefix means count as identical.
 IDENTICAL_SQ_TOL = 1e-24
@@ -193,22 +195,23 @@ class _TailProblems:
     """The sigma-free part of a batch of tail-bound problems, leading axis (R,).
 
     Problem r excludes row e = excluded[r] of Gram grams[r]; rows before it
-    are the candidates.  Its reference measure is N(0, sigma^2 I) (add: nu
-    and log_w are None) or the uniform mixture over rows ref_start[r] and up
-    (remove).  Per variational member psi: kl; a = h_ee - psi.diag; q = h_ee
-    - 2 psi.h_e + psi'H psi; and per reference row k, nu = h_k.psi - h_ke.
-    At sigma a term's mean is nu/sigma^2 plus a per-member constant, so terms
-    with equal nu are equal at every sigma: each member's terms are merged by
-    exactly equal nu into G groups, log_w holding each group's log weight
-    (its share of the reference rows), -inf on padding.
+    are the candidates.  Its reference measure is N(0, sigma^2 I) for add and
+    the uniform mixture over rows ref_start[r] and up for remove; only the
+    remove terms nu and log_w depend on it.  Per variational member psi: kl;
+    a = h_ee - psi.diag; q = h_ee - 2 psi.h_e + psi'H psi; and per reference
+    row k, nu = h_k.psi - h_ke.  At sigma a term's mean is nu/sigma^2 plus a
+    per-member constant, so terms with equal nu are equal at every sigma:
+    each member's terms are merged by exactly equal nu into G groups, log_w
+    holding each group's log weight (its share of the reference rows), -inf
+    on padding.
     """
 
     distinct: np.ndarray  # (R,): some candidate differs from the excluded row
     kl: np.ndarray  # (R, P)
     a: np.ndarray  # (R, P)
     q: np.ndarray  # (R, P)
-    nu: np.ndarray | None  # (R, P, G)
-    log_w: np.ndarray | None  # (R, P, G)
+    nu: np.ndarray  # (R, P, G)
+    log_w: np.ndarray  # (R, P, G)
 
 
 def _merge_equal_terms(nu: np.ndarray, live: np.ndarray):
@@ -238,11 +241,11 @@ def _merge_equal_terms(nu: np.ndarray, live: np.ndarray):
     return out_nu.reshape(lead + (groups,)), log_w.reshape(lead + (groups,))
 
 
-def _prepare_tails(grams: np.ndarray, excluded: np.ndarray, ref_start=None) -> _TailProblems:
+def _prepare_tails(grams: np.ndarray, excluded: np.ndarray, ref_start: np.ndarray) -> _TailProblems:
     """Build the sigma-free terms of every (Gram, excluded row) problem at once.
 
     grams (R, n, n) holds one Gram per problem, excluded (R,) its excluded
-    row, and ref_start (R,) its first reference row (None for add).
+    row, and ref_start (R,) its first remove reference row.
     """
     n = grams.shape[-1]
     cols = np.arange(n)
@@ -259,8 +262,6 @@ def _prepare_tails(grams: np.ndarray, excluded: np.ndarray, ref_start=None) -> _
     a = hee - (psis @ diag[..., None])[..., 0]
     psi_h = psis @ grams  # (R, P, n): h_k.psi per row k (H is symmetric)
     q = hee - 2.0 * (psis @ cross[..., None])[..., 0] + (psi_h * psis).sum(axis=-1)
-    if ref_start is None:
-        return _TailProblems(distinct, kl, a, q, None, None)
     # Reference row k's term: nu = h_k.psi - h_ke, for rows ref_start[r] and up.
     nu = psi_h - cross[:, None, :]
     live = np.broadcast_to((cols >= ref_start[:, None])[:, None, :], nu.shape)
@@ -314,38 +315,38 @@ def _mixture_lower_tails(nus, log_w, xi, log_beta) -> np.ndarray:
 
 
 def _tail_bounds(problems: _TailProblems, sigma: float, betas: np.ndarray) -> np.ndarray:
-    """(R,) tails tau with Pr[L < tau] <= beta_r under each reference measure.
+    """(R, 2) tails tau with Pr[L < tau] <= beta_r, columns in DIRECTIONS order.
 
-    Each member's variational lower bound on the loss is Gaussian (add) or a
-    Gaussian mixture over the reference groups (remove) with scale
-    xi = sqrt(q)/sigma; tau is the max over members of its beta-quantile:
-    closed form for add and for a single group, bisected otherwise.
+    Each member's variational lower bound on the loss has scale
+    xi = sqrt(q)/sigma and is Gaussian under the add reference measure and a
+    Gaussian mixture over the reference groups under the remove one; tau is
+    the max over members of its beta-quantile: closed form for add and for a
+    single group, bisected otherwise.
     """
     sig2 = sigma * sigma
     const = problems.a / (2.0 * sig2) - problems.kl
     xi = np.sqrt(np.maximum(problems.q / sig2, 0.0))
     betas = betas[:, None]
-    if problems.nu is None:
-        taus = np.where(xi > 0.0, const + xi * ndtri(betas), const)
-    else:
-        nus = problems.nu / sig2 + const[..., None]
-        log_w = problems.log_w
-        live = log_w > -np.inf
-        log_beta = np.broadcast_to(np.log(betas), xi.shape)
-        # Zero scale: the loss bound is a point mass at each group's nu.
-        taus = np.where(live, nus, np.inf).min(axis=-1)
-        # One reference group: invert the Gaussian CDF directly.
-        single = (live.sum(axis=-1) == 1) & (xi > 0.0)
-        nu1 = np.where(live, nus, -np.inf).max(axis=-1)[single]
-        lw1 = log_w.max(axis=-1)[single]
-        taus[single] = nu1 + xi[single] * ndtri(np.exp(log_beta[single] - lw1))
-        active = (xi > 0.0) & ~single & problems.distinct[..., None]
-        if active.any():
-            taus[active] = _mixture_lower_tails(
-                nus[active], log_w[active], xi[active], log_beta[active]
-            )
+    add = np.where(xi > 0.0, const + xi * ndtri(betas), const)
+    nus = problems.nu / sig2 + const[..., None]
+    log_w = problems.log_w
+    live = log_w > -np.inf
+    log_beta = np.broadcast_to(np.log(betas), xi.shape)
+    # Zero scale: the loss bound is a point mass at each group's nu.
+    remove = np.where(live, nus, np.inf).min(axis=-1)
+    # One reference group: invert the Gaussian CDF directly.
+    single = (live.sum(axis=-1) == 1) & (xi > 0.0)
+    nu1 = np.where(live, nus, -np.inf).max(axis=-1)[single]
+    lw1 = log_w.max(axis=-1)[single]
+    remove[single] = nu1 + xi[single] * ndtri(np.exp(log_beta[single] - lw1))
+    active = (xi > 0.0) & ~single & problems.distinct[..., None]
+    if active.any():
+        remove[active] = _mixture_lower_tails(
+            nus[active], log_w[active], xi[active], log_beta[active]
+        )
+    taus = np.stack([remove.max(axis=-1), add.max(axis=-1)], axis=-1)
     # Every candidate coincides with the excluded component: L == 0.
-    return np.where(problems.distinct, taus.max(axis=-1), 0.0)
+    return np.where(problems.distinct[:, None], taus, 0.0)
 
 
 def _first_read_ranks(means: MixtureMeans, plan: AllocationPlan) -> np.ndarray:
@@ -375,15 +376,11 @@ def _sorted_prefix_grams(m: np.ndarray):
         gram_prefix += np.outer(scalars, scalars)
 
 
-def step_hazards(
-    means: MixtureMeans,
-    sigma: float,
-    plan: AllocationPlan,
-    direction: str,
-) -> np.ndarray:
-    """Per-step hazard bounds, (N, b), before any cross-step sharing.
+def step_hazards(means: MixtureMeans, sigma: float, plan: AllocationPlan) -> np.ndarray:
+    """Per-step hazard bounds, (N, 2, b), before any cross-step sharing.
 
-    Column i-1 bounds the reverse hazard of the i-th smallest component at
+    Axis 1 holds the adjacency directions in `pld.DIRECTIONS` order, and
+    column i-1 bounds the reverse hazard of the i-th smallest component at
     that step, at the significance of the step's block in the plan.  Only
     the ranks the step's pair reads are bounded.  The pair needs its mixing
     law's tail mass only at the first rank of each level of means above the
@@ -396,18 +393,17 @@ def step_hazards(
     picks them over a bound.  The read (step, rank) problems form
     one flat axis, bounded in chunks sized to _HAZARD_CHUNK_ELEMENTS of the
     (problem, member, row) tensor: one sigma-free preparation and one tail
-    evaluation per chunk, each problem reading its step's sorted prefix Gram.
+    evaluation per chunk serve both directions, each problem reading its
+    step's sorted prefix Gram.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if direction not in (REMOVE, ADD):
-        raise ValueError(f"direction must be 'remove' or 'add', got {direction!r}")
     m = means.means
     b, n_total = m.shape
-    lam = np.ones((n_total, b))
+    lam = np.ones((n_total, len(DIRECTIONS), b))
     if b == 1:
         return lam
-    lam[:, 1:] = _HAZARD_FLOOR
+    lam[:, :, 1:] = _HAZARD_FLOOR
     betas = np.empty(n_total)
     for first, last, beta in plan.blocks():
         betas[first - 1 : last] = beta
@@ -427,9 +423,8 @@ def step_hazards(
             if n >= steps[0]:
                 held[n] = gram
         grams = np.stack([held[n] for n in steps])
-        problems = _prepare_tails(grams, rows, rows if direction == REMOVE else None)
-        taus = _tail_bounds(problems, sigma, betas[steps])
-        lam[steps, rows] = expit(-np.log(rows) - taus)
+        taus = _tail_bounds(_prepare_tails(grams, rows, rows), sigma, betas[steps])
+        lam[steps, :, rows] = expit(-np.log(rows)[:, None] - taus)
     return np.clip(lam, _HAZARD_FLOOR, 1.0)
 
 
@@ -441,13 +436,13 @@ def apply_sharing(hazards: np.ndarray, plan: AllocationPlan) -> np.ndarray:
     return out
 
 
-def _compose_steps(pairs, grid_spacing):
+def _compose_steps(pairs):
     keys = [pair.key() for pair in pairs]
     counts = Counter(keys)
     distinct = dict(zip(keys, pairs))
     # The spacing and each grid read the same pair objects, so each distinct
     # pair's cached loss range is computed once.
-    h = grid_spacing if grid_spacing is not None else pld.auto_spacing(distinct.values())
+    h = pld.auto_spacing(distinct.values())
     return pld.compose(
         pld.compose_power(pld.discretize(distinct[key], h), count)
         for key, count in counts.items()
@@ -460,19 +455,18 @@ def cond_comp_pld(
     sigma: float,
     delta_e: float,
     allocation: str = "hybrid",
-    grid_spacing: float | None = None,
 ) -> dict:
     """Composed per-direction privacy-loss distributions for the whole run."""
     plan = AllocationPlan(schedule, delta_e, allocation)
     means = mixture_means(strategy, schedule)
-    out = {}
-    for direction in (REMOVE, ADD):
-        lam = apply_sharing(step_hazards(means, sigma, plan, direction), plan)
-        pairs = [
-            MixGaussPair(
-                np.sort(means.means[:, n]), reverse_hazard_weights(lam[n]), sigma, direction
-            )
-            for n in range(schedule.iterations)
-        ]
-        out[direction] = _compose_steps(pairs, grid_spacing)
-    return out
+    lam = apply_sharing(step_hazards(means, sigma, plan), plan)
+    scalars = np.sort(means.means, axis=0)
+    return {
+        direction: _compose_steps(
+            [
+                MixGaussPair(scalars[:, n], reverse_hazard_weights(lam[n, d]), sigma, direction)
+                for n in range(schedule.iterations)
+            ]
+        )
+        for d, direction in enumerate(DIRECTIONS)
+    }

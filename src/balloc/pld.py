@@ -36,6 +36,8 @@ _DIRECT_CONV_LIMIT = 128
 
 REMOVE = "remove"
 ADD = "add"
+# The adjacency directions, in the order of per-direction array axes.
+DIRECTIONS = (REMOVE, ADD)
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,7 @@ class MixGaussPair:
             raise ValueError("weights must be non-negative and sum to 1")
         if sigma <= 0:
             raise ValueError(f"sigma must be positive, got {sigma}")
-        if direction not in (REMOVE, ADD):
+        if direction not in DIRECTIONS:
             raise ValueError(f"direction must be 'remove' or 'add', got {direction!r}")
         keep = weights > 0.0
         means, weights = means[keep], weights[keep]

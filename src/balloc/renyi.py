@@ -45,7 +45,6 @@ class RenyiCurve:
     alphas: tuple
     rho_remove: np.ndarray
     rho_add: np.ndarray
-    sigma: float
     exact: np.ndarray  # per-order flags
 
 
@@ -316,13 +315,7 @@ def renyi_curve(
             exact[j] = summary.tau == 0.0
     gram_full = summary_at(min(summaries)).gram
     rho_add = np.array([renyi_add_bound(gram_full, sigma, a) for a in alphas])
-    return RenyiCurve(
-        alphas=alphas,
-        rho_remove=rho_rem,
-        rho_add=rho_add,
-        sigma=sigma,
-        exact=exact,
-    )
+    return RenyiCurve(alphas=alphas, rho_remove=rho_rem, rho_add=rho_add, exact=exact)
 
 
 def curve_delta(curve: RenyiCurve, epsilon: float) -> tuple[float, int]:

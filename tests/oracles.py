@@ -13,7 +13,15 @@ from balloc import mc
 from balloc.calibrate import SIGMA_MAX, SIGMA_MIN, UnachievableTargetError
 from balloc.condcomp import DEFAULT_FAMILY, IDENTICAL_SQ_TOL, _prepare_tails, _tail_bounds
 from balloc.mechanism import gram
-from balloc.pld import DiscretePLD, _delta_terms, _mix_loss, identical_pair_delta
+from balloc.pld import (
+    ADD,
+    DIRECTIONS,
+    REMOVE,
+    DiscretePLD,
+    _delta_terms,
+    _mix_loss,
+    identical_pair_delta,
+)
 from balloc.renyi import _check_alpha
 
 
@@ -358,14 +366,13 @@ def renyi_remove_bruteforce(g, sigma: float, alpha: int, b: int | None = None) -
     return float((logsumexp(exponents) - alpha * math.log(b)) / (alpha - 1))
 
 
-def _tail_bound(h: np.ndarray, i: int, ref_start, sigma: float, beta: float) -> float:
+def _tail_bound(h: np.ndarray, i: int, ref_start: int, sigma: float, beta: float, direction):
     """One problem on Gram h: candidates rows 0..i-1, excluded row i."""
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
-    problems = _prepare_tails(
-        h[None], np.array([i]), None if ref_start is None else np.array([ref_start])
-    )
-    return float(_tail_bounds(problems, sigma, np.array([beta]))[0])
+    problems = _prepare_tails(h[None], np.array([i]), np.array([ref_start]))
+    taus = _tail_bounds(problems, sigma, np.array([beta]))[0]
+    return float(taus[DIRECTIONS.index(direction)])
 
 
 def tail_bound_add(mu_list, mu_i, sigma: float, beta: float) -> float:
@@ -374,7 +381,8 @@ def tail_bound_add(mu_list, mu_i, sigma: float, beta: float) -> float:
     if not mus:
         raise ValueError("need at least one candidate component")
     v = np.vstack(mus + [np.asarray(mu_i, dtype=float)])
-    return _tail_bound(v @ v.T, len(mus), None, sigma, beta)
+    # The remove reference rows are immaterial here: row i alone will do.
+    return _tail_bound(v @ v.T, len(mus), len(mus), sigma, beta, ADD)
 
 
 def tail_bound_remove(mu_list, mu_i, tail_means, sigma: float, beta: float) -> float:
@@ -386,7 +394,7 @@ def tail_bound_remove(mu_list, mu_i, tail_means, sigma: float, beta: float) -> f
     if not tails:
         raise ValueError("the reference mixture needs at least one component")
     v = np.vstack(mus + [np.asarray(mu_i, dtype=float)] + tails)
-    return _tail_bound(v @ v.T, len(mus), len(mus) + 1, sigma, beta)
+    return _tail_bound(v @ v.T, len(mus), len(mus) + 1, sigma, beta, REMOVE)
 
 
 def mc_loss_samples_logsumexp(means, sigma, direction, n_samples, seed) -> np.ndarray:

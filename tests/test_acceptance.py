@@ -30,7 +30,7 @@ from balloc.mechanism import (
     mixture_means,
     sqrt_toeplitz_coefficients,
 )
-from balloc.pld import ADD, REMOVE, MixGaussPair, compose, delta_at, discretize
+from balloc.pld import ADD, DIRECTIONS, REMOVE, MixGaussPair, compose, delta_at, discretize
 from balloc.renyi import (
     renyi_add_bound,
     renyi_curve,
@@ -286,7 +286,7 @@ def test_criterion_9_epoch_jumps():
         sched = Schedule(4, 100)
         means = mixture_means(build_identity(400), sched)
         plan = AllocationPlan(sched, 0.5e-5, "union")
-        lam_b = step_hazards(means, 5.0, plan, REMOVE)[:, -1]
+        lam_b = step_hazards(means, 5.0, plan)[:, DIRECTIONS.index(REMOVE), -1]
         diffs = np.abs(np.diff(lam_b))
         boundary = [diffs[99], diffs[199], diffs[299]]
         within = np.concatenate([diffs[:99], diffs[100:199], diffs[200:299], diffs[300:]])

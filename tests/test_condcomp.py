@@ -29,7 +29,7 @@ from balloc.mechanism import (
     mixture_means,
     sqrt_toeplitz_coefficients,
 )
-from balloc.pld import ADD, REMOVE, MixGaussPair
+from balloc.pld import ADD, DIRECTIONS, REMOVE, MixGaussPair
 
 from oracles import (
     TernaryLoss,
@@ -351,22 +351,20 @@ def test_step_pair_first_step_is_uniform():
     # top rank is read; the three zeros merge into one level.
     means = mixture_means(build_identity(4), Schedule(1, 4))
     plan = AllocationPlan(Schedule(1, 4), 1e-5, "union")
-    for direction in (REMOVE, ADD):
-        lam = step_hazards(means, 1.0, plan, direction)[0]
+    for direction, lam in zip(DIRECTIONS, step_hazards(means, 1.0, plan)[0]):
         assert lam == pytest.approx([1.0, condcomp._HAZARD_FLOOR, condcomp._HAZARD_FLOOR, 0.25])
         pair = MixGaussPair(np.sort(means.means[:, 0]), reverse_hazard_weights(lam), 1.0, direction)
         assert list(pair.means) == [0.0, 1.0]
         assert pair.weights == pytest.approx([0.75, 0.25], rel=1e-15)
-    with pytest.raises(ValueError):
-        step_hazards(means, 1.0, plan, "sideways")
 
 
 def test_step_pair_b_equals_one():
     means = mixture_means(build_identity(3), Schedule(3, 1))
     plan = AllocationPlan(Schedule(3, 1), 1e-5, "hybrid")
-    lam = step_hazards(means, 1.5, plan, REMOVE)
-    assert lam.shape == (3, 1)
-    assert reverse_hazard_weights(lam[1]) == pytest.approx([1.0])
+    lam = step_hazards(means, 1.5, plan)
+    assert lam.shape == (3, 2, 1)
+    for d in range(len(DIRECTIONS)):
+        assert reverse_hazard_weights(lam[1, d]) == pytest.approx([1.0])
     assert np.sort(means.means[:, 1]) == pytest.approx([1.0])
 
 
@@ -405,27 +403,28 @@ def test_step_hazards_match_single_step_builder():
         for allocation in STRATEGIES:
             plan = AllocationPlan(sched, 1e-4, allocation)
             _, first = _first_read(means, plan)
-            for direction in (REMOVE, ADD):
-                lam = step_hazards(means, 1.0, plan, direction)
+            lam = step_hazards(means, 1.0, plan)
+            for d, direction in enumerate(DIRECTIONS):
                 for n, t in enumerate(first):
                     single = single_step_hazards(means, n + 1, 1.0, plan, direction)
-                    assert lam[n, 0] == 1.0
-                    assert np.all(lam[n, 1:t] == condcomp._HAZARD_FLOOR)
-                    assert lam[n, t:] == pytest.approx(single[t:], rel=1e-12)
+                    assert lam[n, d, 0] == 1.0
+                    assert np.all(lam[n, d, 1:t] == condcomp._HAZARD_FLOOR)
+                    assert lam[n, d, t:] == pytest.approx(single[t:], rel=1e-12)
 
 
 _CASE_HAZARDS = {}
 
 
 def _case_hazards(case, allocation, direction):
-    key = (case, allocation, direction)
+    key = (case, allocation)
     if key not in _CASE_HAZARDS:
         strategy, sched = HAZARD_CASES[case]
         means = mixture_means(strategy, sched)
         plan = AllocationPlan(sched, 1e-4, allocation)
-        lam = apply_sharing(step_hazards(means, 1.1, plan, direction), plan)
+        lam = apply_sharing(step_hazards(means, 1.1, plan), plan)
         _CASE_HAZARDS[key] = means, plan, lam
-    return _CASE_HAZARDS[key]
+    means, plan, lam = _CASE_HAZARDS[key]
+    return means, plan, lam[:, DIRECTIONS.index(direction)]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -459,12 +458,11 @@ def test_step_hazards_do_not_depend_on_chunking(monkeypatch, problems_per_chunk)
         b = sched.batches_per_epoch
         means = mixture_means(strategy, sched)
         plan = AllocationPlan(sched, 1e-4, "hybrid")
-        whole = {d: step_hazards(means, 1.3, plan, d) for d in (REMOVE, ADD)}
+        whole = step_hazards(means, 1.3, plan)
         per_problem = len(DEFAULT_FAMILY) * b
         with monkeypatch.context() as patched:
             patched.setattr(condcomp, "_HAZARD_CHUNK_ELEMENTS", problems_per_chunk * per_problem)
-            for direction, lam in whole.items():
-                assert step_hazards(means, 1.3, plan, direction) == pytest.approx(lam, rel=1e-12)
+            assert step_hazards(means, 1.3, plan) == pytest.approx(whole, rel=1e-12)
 
 
 def test_remove_bisection_returns_the_pessimistic_end(monkeypatch):
@@ -484,7 +482,7 @@ def test_remove_bisection_returns_the_pessimistic_end(monkeypatch):
     for strategy, sched in HAZARD_CASES[1:4]:
         for allocation in ("union", "global-max"):
             plan = AllocationPlan(sched, 1e-4, allocation)
-            step_hazards(mixture_means(strategy, sched), 1.2, plan, REMOVE)
+            step_hazards(mixture_means(strategy, sched), 1.2, plan)
     rng = np.random.default_rng(3)
     checked = 0
     for nus, log_w, xi, log_beta, taus in seen:
@@ -540,6 +538,7 @@ def test_remove_merge_matches_the_row_oracle_and_stays_pessimistic(b, dim, seed)
     grams = np.broadcast_to(h, (ranks.size, b, b))
     problems = condcomp._prepare_tails(grams, ranks, ranks)
     taus = condcomp._tail_bounds(problems, sigma, np.full(ranks.size, beta))
+    taus = taus[:, DIRECTIONS.index(REMOVE)]
     for i, tau in zip(ranks, taus):
         oracle = _tau_core(h, int(i), np.arange(i, b), sigma, beta)
         assert tau == pytest.approx(oracle, rel=1e-12, abs=1e-12)
@@ -554,9 +553,9 @@ def _recording_prepare(monkeypatch):
     calls = []
     prepare = condcomp._prepare_tails
 
-    def recording(grams, excluded, ref_start=None):
+    def recording(grams, excluded, ref_start):
         problems = prepare(grams, excluded, ref_start)
-        calls.append((excluded, None if problems.nu is None else problems.nu.shape[-1]))
+        calls.append((excluded, problems.nu.shape[-1]))
         return problems
 
     monkeypatch.setattr(condcomp, "_prepare_tails", recording)
@@ -573,14 +572,14 @@ def test_remove_terms_merge_to_distinct_means(monkeypatch):
     ]:
         calls.clear()
         plan = AllocationPlan(sched, 1e-5, "union")
-        step_hazards(mixture_means(strategy, sched), 1.0, plan, REMOVE)
+        step_hazards(mixture_means(strategy, sched), 1.0, plan)
         assert calls and max(width for _, width in calls) <= most
 
 
 def test_tail_problems_are_the_read_ranks(monkeypatch):
-    # Counted work: one tail problem per read (step, rank), per direction.
-    # DP-SGD at one epoch reads only the top rank of each step (32 of 992
-    # bounds); BSR p=4 at b=28 reads 106 of 756.
+    # Counted work: one tail problem per read (step, rank), serving both
+    # directions.  DP-SGD at one epoch reads only the top rank of each step
+    # (32 of 992 bounds per direction); BSR p=4 at b=28 reads 106 of 756.
     calls = _recording_prepare(monkeypatch)
     for strategy, sched, allocation, count in [
         (build_identity(32), Schedule(1, 32), "union", 32),
@@ -589,10 +588,35 @@ def test_tail_problems_are_the_read_ranks(monkeypatch):
     ]:
         means = mixture_means(strategy, sched)
         plan = AllocationPlan(sched, 1e-5, allocation)
-        for direction in (REMOVE, ADD):
-            calls.clear()
-            step_hazards(means, 1.0, plan, direction)
-            assert sum(excluded.size for excluded, _ in calls) == count
+        calls.clear()
+        lam = step_hazards(means, 1.0, plan)
+        assert sum(excluded.size for excluded, _ in calls) == count
+        for d in range(len(DIRECTIONS)):
+            assert np.count_nonzero(lam[:, d, 1:] > condcomp._HAZARD_FLOOR) == count
+
+
+def test_cond_comp_walks_the_prefix_grams_once(monkeypatch):
+    # Both directions' pairs come from one hazard walk: one sorted prefix
+    # Gram generator per call and one preparation per chunk of read
+    # problems, here 3 problems per chunk over BSR p=4's 106 read ranks.
+    strategy, sched = _bsr(28), Schedule(1, 28)
+    plan = AllocationPlan(sched, 1e-5, "union")
+    _, first = _first_read(mixture_means(strategy, sched), plan)
+    problems = sum(28 - t for t in first)
+    walks = []
+    walk = condcomp._sorted_prefix_grams
+
+    def counting(m):
+        walks.append(m.shape)
+        return walk(m)
+
+    calls = _recording_prepare(monkeypatch)
+    monkeypatch.setattr(condcomp, "_sorted_prefix_grams", counting)
+    monkeypatch.setattr(condcomp, "_HAZARD_CHUNK_ELEMENTS", 3 * len(DEFAULT_FAMILY) * 28)
+    condcomp.cond_comp_pld(strategy, sched, 1.0, 1e-5, "union")
+    assert walks == [(28, 28)]
+    assert len(calls) == math.ceil(problems / 3)
+    assert sum(excluded.size for excluded, _ in calls) == problems == 106
 
 
 def test_shared_block_reads_the_union_of_its_steps_ranks():
@@ -607,24 +631,24 @@ def test_shared_block_reads_the_union_of_its_steps_ranks():
         means = mixture_means(strategy, sched)
         plan = AllocationPlan(sched, 1e-4, allocation)
         own, first = _first_read(means, plan)
-        lam = step_hazards(means, 1.2, plan, REMOVE)
+        lam = step_hazards(means, 1.2, plan)
         for start, stop, _ in plan.blocks():
             block = range(start - 1, stop)
             assert len({first[n] for n in block}) == 1
             for n in block:
-                assert np.all(lam[n, first[n] :] > condcomp._HAZARD_FLOOR)
-                assert np.all(lam[n, 1 : first[n]] == condcomp._HAZARD_FLOOR)
+                assert np.all(lam[n, :, first[n] :] > condcomp._HAZARD_FLOOR)
+                assert np.all(lam[n, :, 1 : first[n]] == condcomp._HAZARD_FLOOR)
         if allocation == "global-max":
             assert max(own) > min(own)
 
 
-def test_cond_comp_single_batch_matches_gaussian_composition():
+def test_cond_comp_single_batch_matches_gaussian_composition(monkeypatch):
     # b = 1: per-step pairs are plain unit-shift Gaussians; the N-fold
-    # composition is a Gaussian mechanism with sensitivity sqrt(N)
+    # composition is a Gaussian mechanism with sensitivity sqrt(N), read on
+    # a grid of spacing 2e-4
     n, sigma, eps, delta_e = 4, 2.0, 1.0, 1e-6
-    composed = condcomp.cond_comp_pld(
-        build_identity(n), Schedule(n, 1), sigma, delta_e, grid_spacing=2e-4
-    )
+    monkeypatch.setattr(condcomp.pld, "auto_spacing", lambda pairs: 2e-4)
+    composed = condcomp.cond_comp_pld(build_identity(n), Schedule(n, 1), sigma, delta_e)
     delta = max(condcomp.pld.delta_at(c, eps) for c in composed.values()) + delta_e
     oracle = gaussian_profile_delta(math.sqrt(n), sigma, eps) + delta_e
     assert delta >= oracle - 1e-12
@@ -655,11 +679,11 @@ def test_small_delta_floor_is_pessimistic(kind, epochs, batches, sigma):
     composed = condcomp.cond_comp_pld(strategy, sched, sigma, 1e-6)
     means = mixture_means(strategy, sched)
     plan = AllocationPlan(sched, 1e-6, "hybrid")
-    for direction in (REMOVE, ADD):
-        lam = apply_sharing(step_hazards(means, sigma, plan, direction), plan)
+    shared = apply_sharing(step_hazards(means, sigma, plan), plan)
+    for d, direction in enumerate(DIRECTIONS):
         pairs = [
             condcomp.MixGaussPair(
-                np.sort(means.means[:, j]), reverse_hazard_weights(lam[j]), sigma, direction
+                np.sort(means.means[:, j]), reverse_hazard_weights(shared[j, d]), sigma, direction
             )
             for j in range(n)
         ]
@@ -721,6 +745,6 @@ def test_hazard_trace_script_smoke():
     assert all(float(v) == 0.25 for v in rows[0][1:])
     sched = Schedule(2, 4)
     lam = step_hazards(
-        mixture_means(build_identity(8), sched), 5.0, AllocationPlan(sched, 0.5e-5, "union"), REMOVE
-    )[:, -1]
+        mixture_means(build_identity(8), sched), 5.0, AllocationPlan(sched, 0.5e-5, "union")
+    )[:, DIRECTIONS.index(REMOVE), -1]
     assert [r[1] for r in rows] == [f"{v:.12g}" for v in lam]
